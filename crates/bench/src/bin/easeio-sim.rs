@@ -126,18 +126,15 @@ use easeio_exec::{
     run_grid, sweep_matrix, sweep_matrix_observed, AppSpec, DeviceSpec, GridSpec, ScenarioSpec,
     SupplySpec, SweepEntry, SweepOptions, APP_NAMES,
 };
-use easeio_fleet::{
-    find_air_duplicate, run_fleet_observed, run_fleet_streamed, run_rollout_observed,
-    run_rollout_streamed, RolloutPolicy,
-};
+use easeio_fleet::{find_air_duplicate, run_fleet, run_rollout, RolloutPolicy};
 use easeio_trace::{
     build_fleet_report, build_forensics_report, build_metrics_report, build_profile, build_report,
     build_sweep_report, chrome_trace_with_counters, compare_metrics, flamegraph, flush_registered,
     jsonl, parse_json, validate_any_report, validate_fleet_report, validate_forensics_report,
-    validate_metrics_report, CounterTrack, Event, EventKind, FaultSpecDoc, ForensicsInputs,
-    ForensicsViolationDoc, FramDiffByte, FramDiffDoc, InstantKind, JsonlWriter, MetricsEntry,
-    MetricsInputs, Progress, ReportInputs, SiteWasteRow, SkippedApp, SpanKind, SweepInputs,
-    SweepPruneDoc, SweepTimingDoc, SweepViolation, SweepWasteDoc, TaskWasteRow, Value,
+    validate_metrics_report, CounterTrack, Event, EventKind, FaultSpecDoc, FleetInputs,
+    ForensicsInputs, ForensicsViolationDoc, FramDiffByte, FramDiffDoc, InstantKind, JsonlWriter,
+    MetricsEntry, MetricsInputs, Progress, ReportInputs, SiteWasteRow, SkippedApp, SpanKind,
+    SweepInputs, SweepPruneDoc, SweepTimingDoc, SweepViolation, SweepWasteDoc, TaskWasteRow, Value,
     CATEGORY_NAMES,
 };
 use kernel::{App, Fault, FaultSpec, Outcome, Verdict};
@@ -488,6 +485,44 @@ fn write_forensics_or_die(path: &str, inputs: &ForensicsInputs) {
     text.push('\n');
     write_or_die(path, &text, "forensics bundle");
     println!("forensics bundle written to {path}");
+}
+
+/// Validates and writes one `kind: "fleet"` report. The self-check runs
+/// before writing: a fleet document violating its own accounting
+/// invariants must never leave the process.
+fn write_fleet_report_or_die(path: &str, inputs: &FleetInputs) {
+    let doc = build_fleet_report(inputs);
+    if let Err(errs) = validate_fleet_report(&doc) {
+        eprintln!("error: built fleet report fails its own schema:");
+        for e in &errs {
+            eprintln!("  - {e}");
+        }
+        exit(ExitCode::VerdictFailure);
+    }
+    let mut text = doc.to_pretty();
+    text.push('\n');
+    write_or_die(path, &text, "fleet report");
+    println!("fleet report written to {path}");
+}
+
+/// Runs a fleet engine with the `--stream-out` writer attached, if one was
+/// asked for. The writer is registered so a nonzero exit still flushes
+/// its tail.
+fn with_stream<T>(
+    path: Option<&str>,
+    engine: impl FnOnce(Option<&mut JsonlWriter>) -> Result<T, String>,
+) -> T {
+    let sink = path.map(|path| {
+        JsonlWriter::create_registered(path)
+            .unwrap_or_else(|e| die(&format!("cannot create device stream {path}: {e}")))
+    });
+    let mut w = sink
+        .as_ref()
+        .map(|s| s.lock().expect("no other thread has used the writer yet"));
+    let result = engine(w.as_deref_mut());
+    // `die` flushes every registered writer, so release this one first.
+    drop(w);
+    result.unwrap_or_else(|e| die(&e))
 }
 
 /// The app selector of a repro command (`--app NAME` or `--source PATH`).
@@ -1678,28 +1713,11 @@ fn parse_fleet_args() -> Result<FleetArgs, String> {
 fn rollout_main(args: &FleetArgs, policy: &RolloutPolicy) -> ! {
     let sc = &args.sc;
     let guard = ProgressGuard::start(args.progress, args.progress_out.as_deref());
-    let (s, pool, inputs, first_violation, streamed) = if let Some(path) = &args.stream_out {
-        let sink = JsonlWriter::create_registered(path)
-            .unwrap_or_else(|e| die(&format!("cannot create device stream {path}: {e}")));
-        let mut w = sink.lock().unwrap();
-        let r =
-            run_rollout_streamed(sc, policy, &mut w, observer(&guard)).unwrap_or_else(|e| die(&e));
-        drop(w);
-        let inputs = r.report_inputs(sc);
-        (r.stats, r.pool, inputs, r.first_violation, Some(r.stream))
-    } else {
-        let r = run_rollout_observed(sc, policy, observer(&guard)).unwrap_or_else(|e| die(&e));
-        let inputs = r.report_inputs(sc);
-        (
-            r.stats,
-            r.fleet.pool.clone(),
-            inputs,
-            r.first_violation,
-            None,
-        )
-    };
+    let r = with_stream(args.stream_out.as_deref(), |out| {
+        run_rollout(sc, policy, out, observer(&guard))
+    });
     drop(guard);
-    let s = &s;
+    let s = &r.stats;
     println!(
         "rollout: {} devices to image seq {} under {} on {} supply \
          (seed {}, medium {}, waves of {})",
@@ -1740,31 +1758,20 @@ fn rollout_main(args: &FleetArgs, policy: &RolloutPolicy) -> ! {
     );
     println!(
         "  pool:       {} job(s), {:.2} ms wall",
-        pool.jobs,
-        pool.wall_us as f64 / 1000.0
+        r.pool.jobs,
+        r.pool.wall_us as f64 / 1000.0
     );
-    if let (Some(path), Some(stream)) = (&args.stream_out, &streamed) {
+    if let Some(path) = &args.stream_out {
         println!(
             "  stream:     {} device records -> {} ({} shard files)",
-            stream.records, path, stream.shards
+            r.stream.records, path, r.stream.shards
         );
     }
     if let Some(path) = &sc.report_out {
-        let doc = build_fleet_report(&inputs);
-        if let Err(errs) = validate_fleet_report(&doc) {
-            eprintln!("error: built fleet report fails its own schema:");
-            for e in &errs {
-                eprintln!("  - {e}");
-            }
-            exit(ExitCode::VerdictFailure);
-        }
-        let mut text = doc.to_pretty();
-        text.push('\n');
-        write_or_die(path, &text, "fleet report");
-        println!("fleet report written to {path}");
+        write_fleet_report_or_die(path, &r.report_inputs(sc));
     }
     if let Some(path) = &args.forensics_out {
-        match &first_violation {
+        match &r.first_violation {
             Some(v) => {
                 let mut repro = format!(
                     "easeio-sim fleet --rollout --devices {} --kernel {} --seed {} \
@@ -1872,54 +1879,13 @@ fn fleet_main() -> ! {
     }
     let sc = &args.sc;
     let guard = ProgressGuard::start(args.progress, args.progress_out.as_deref());
-    // Both execution paths land on the same commutative aggregate, so the
-    // summary and report are identical; only where the per-device records
-    // live differs (memory vs the streamed JSONL).
-    let (o, power_failures, straggle, energy, g, pool, inputs, streamed, dup) =
-        if let Some(path) = &args.stream_out {
-            let sink = JsonlWriter::create_registered(path)
-                .unwrap_or_else(|e| die(&format!("cannot create device stream {path}: {e}")));
-            let mut w = sink.lock().unwrap();
-            let r = run_fleet_streamed(sc, &mut w, observer(&guard)).unwrap_or_else(|e| die(&e));
-            drop(w);
-            let dup = args.forensics_out.as_ref().and_then(|_| {
-                find_air_duplicate(r.packets.iter().map(|(d, p)| (*d, p.as_slice())))
-            });
-            (
-                r.agg.outcomes(),
-                r.agg.power_failures(),
-                r.agg.stragglers(),
-                r.agg.energy(),
-                r.gateway.clone(),
-                r.pool.clone(),
-                r.report_inputs(sc),
-                Some(r.stream),
-                dup,
-            )
-        } else {
-            let fleet = run_fleet_observed(sc, observer(&guard)).unwrap_or_else(|e| die(&e));
-            let dup = args.forensics_out.as_ref().and_then(|_| {
-                find_air_duplicate(
-                    fleet
-                        .results
-                        .iter()
-                        .map(|r| (r.device, r.packets.as_slice())),
-                )
-            });
-            (
-                fleet.outcomes(),
-                fleet.power_failures(),
-                fleet.stragglers(),
-                fleet.energy(),
-                fleet.gateway.clone(),
-                fleet.pool.clone(),
-                fleet.report_inputs(sc),
-                None,
-                dup,
-            )
-        };
+    let r = with_stream(args.stream_out.as_deref(), |out| {
+        run_fleet(sc, out, observer(&guard))
+    });
     drop(guard);
-    let g = &g;
+    let g = &r.gateway;
+    let o = r.agg.outcomes();
+    let straggle = r.agg.stragglers();
     println!(
         "fleet: {} × {} under {} on {} supply (seed {}, medium {}{})",
         sc.count,
@@ -1938,7 +1904,10 @@ fn fleet_main() -> ! {
         "  outcomes:   {} completed / {} non-terminated / {} faulted; {} correct / {} incorrect",
         o.completed, o.non_terminated, o.faulted, o.correct, o.incorrect
     );
-    println!("  reboots:    {power_failures} power failures across the fleet");
+    println!(
+        "  reboots:    {} power failures across the fleet",
+        r.agg.power_failures()
+    );
     println!(
         "  air:        {} transmissions, {} unique, {} duplicates",
         g.transmissions, g.unique_sent, g.air_duplicates
@@ -1962,37 +1931,24 @@ fn fleet_main() -> ! {
     );
     println!(
         "  energy:     {:.2} µJ fleet total",
-        energy.total_energy_nj as f64 / 1000.0
+        r.agg.energy().total_energy_nj as f64 / 1000.0
     );
     println!(
         "  pool:       {} job(s), {:.2} ms wall",
-        pool.jobs,
-        pool.wall_us as f64 / 1000.0
+        r.pool.jobs,
+        r.pool.wall_us as f64 / 1000.0
     );
-    if let (Some(path), Some(stream)) = (&args.stream_out, &streamed) {
+    if let Some(path) = &args.stream_out {
         println!(
             "  stream:     {} device records -> {} ({} shard files)",
-            stream.records, path, stream.shards
+            r.stream.records, path, r.stream.shards
         );
     }
     if let Some(path) = &sc.report_out {
-        let doc = build_fleet_report(&inputs);
-        // Self-check before writing: a fleet document violating its own
-        // accounting invariants must never leave the process.
-        if let Err(errs) = validate_fleet_report(&doc) {
-            eprintln!("error: built fleet report fails its own schema:");
-            for e in &errs {
-                eprintln!("  - {e}");
-            }
-            exit(ExitCode::VerdictFailure);
-        }
-        let mut text = doc.to_pretty();
-        text.push('\n');
-        write_or_die(path, &text, "fleet report");
-        println!("fleet report written to {path}");
+        write_fleet_report_or_die(path, &r.report_inputs(sc));
     }
     if let Some(path) = &args.forensics_out {
-        match &dup {
+        match find_air_duplicate(r.packets.iter().map(|(d, p)| (*d, p.as_slice()))) {
             Some(d) => {
                 let mut repro = format!(
                     "easeio-sim fleet --devices {} {} --kernel {} --seed {} \

@@ -112,6 +112,18 @@ pub enum Expr {
     CallIo(Box<IoCall>),
 }
 
+impl Expr {
+    /// Nodes on the longest root-to-leaf path (a leaf is 1).
+    pub(crate) fn depth(&self) -> usize {
+        match self {
+            Expr::Int(_) | Expr::Var(_) => 1,
+            Expr::Index(_, i) => 1 + i.depth(),
+            Expr::Bin(_, l, r) => 1 + l.depth().max(r.depth()),
+            Expr::CallIo(c) => 1 + c.args.iter().map(Expr::depth).max().unwrap_or(0),
+        }
+    }
+}
+
 /// An array element reference used as a DMA operand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrRef {

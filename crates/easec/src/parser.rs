@@ -4,15 +4,29 @@ use crate::ast::*;
 use crate::lexer::{lex, Spanned, Tok};
 use crate::CompileError;
 
+/// Deepest nesting the front-end accepts, counting statements inside
+/// statements, parenthesised and unary sub-expressions, and binary
+/// operator chains together. Analysis, lowering and the lowered program's
+/// interpreter all recurse once per level, so this bound is what keeps a
+/// hostile program from overflowing their stacks.
+pub const MAX_NESTING: usize = 64;
+
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Statements and atoms currently being parsed.
+    depth: usize,
 }
 
-/// Parses a program.
+/// Parses a program. Nesting deeper than [`MAX_NESTING`] is a compile
+/// error.
 pub fn parse(source: &str) -> Result<Program, CompileError> {
     let toks = lex(source)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     p.program()
 }
 
@@ -30,6 +44,35 @@ impl Parser {
             line: self.line(),
             msg: msg.into(),
         })
+    }
+
+    fn too_deep<T>(&self) -> Result<T, CompileError> {
+        self.err(format!("nesting deeper than {MAX_NESTING} levels"))
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing past
+    /// [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, CompileError>,
+    ) -> Result<T, CompileError> {
+        if self.depth == MAX_NESTING {
+            return self.too_deep();
+        }
+        self.depth += 1;
+        let r = parse(self);
+        self.depth -= 1;
+        r
+    }
+
+    /// A binary node, refused if the tree it tops would nest past
+    /// [`MAX_NESTING`] (operator chains build trees without recursing).
+    fn bin(&self, op: Op, lhs: Expr, rhs: Expr) -> Result<Expr, CompileError> {
+        let e = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
+        if self.depth + e.depth() > MAX_NESTING {
+            return self.too_deep();
+        }
+        Ok(e)
     }
 
     fn peek(&self) -> Option<&Tok> {
@@ -236,6 +279,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, CompileError> {
+        self.nested(Self::stmt_body)
+    }
+
+    fn stmt_body(&mut self) -> Result<Stmt, CompileError> {
         let line = self.line();
         let Some(Tok::Ident(head)) = self.peek().cloned() else {
             return self.err("expected a statement");
@@ -512,7 +559,7 @@ impl Parser {
         };
         self.next();
         let rhs = self.additive()?;
-        Ok(Expr::Bin(op, Box::new(lhs), Box::new(rhs)))
+        self.bin(op, lhs, rhs)
     }
 
     fn additive(&mut self) -> Result<Expr, CompileError> {
@@ -525,7 +572,7 @@ impl Parser {
             };
             self.next();
             let rhs = self.multiplicative()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
+            lhs = self.bin(op, lhs, rhs)?;
         }
     }
 
@@ -540,11 +587,15 @@ impl Parser {
             };
             self.next();
             let rhs = self.atom()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
+            lhs = self.bin(op, lhs, rhs)?;
         }
     }
 
     fn atom(&mut self) -> Result<Expr, CompileError> {
+        self.nested(Self::atom_body)
+    }
+
+    fn atom_body(&mut self) -> Result<Expr, CompileError> {
         match self.next() {
             Some(Tok::Int(n)) => Ok(Expr::Int(n)),
             Some(Tok::Minus) => {

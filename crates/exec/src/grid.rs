@@ -95,7 +95,7 @@ pub fn run_grid(
     jobs: usize,
 ) -> (Vec<GridCell>, PoolStats) {
     let points = grid_points(spec);
-    let (cells, stats) = run_indexed(
+    let (cells, _, stats) = run_indexed(
         jobs,
         &points,
         || (),
@@ -133,6 +133,7 @@ pub fn run_grid(
                 mean_failures: failures / n,
             }
         },
+        |_| (),
     );
     (cells, stats)
 }

@@ -7,9 +7,11 @@
 //! byte-identical to `--jobs 1`**, so parallelism is purely a wall-clock
 //! lever and never a correctness variable. Three pieces:
 //!
-//! * [`pool`] — a scoped-thread worker pool whose results merge in item
-//!   order ([`run_indexed`]), with per-worker utilization for the bench
-//!   report and a [`easeio_trace::SpanKind::Worker`] span per worker;
+//! * [`pool`] — a scoped-thread worker pool with one entry point,
+//!   [`run_indexed`]: results merge in item order, each worker's final
+//!   state reduces to a summary (the fleet engines' per-worker
+//!   aggregates), and per-worker utilization feeds the bench report and a
+//!   [`easeio_trace::SpanKind::Worker`] span per worker;
 //! * [`sweep::run_sweep`] / [`sweep::sweep_matrix`] — the crash-consistency
 //!   sweep on the pool: boundaries batched per worker, each run restored
 //!   from a shared copy-on-write [`mcu_emu::McuSnapshot`], a whole
@@ -22,8 +24,7 @@
 //! [`ScenarioSpec`] is the construction surface tying it together: one
 //! parsed value holding a device template (app, kernel, faults), a
 //! replication count, the shared supply/medium, seeds, and sinks, consumed
-//! by every entry point instead of ad-hoc flag plumbing. The historical
-//! [`SimConfig`] remains as a deprecated shim for the 1-device case.
+//! by every entry point instead of ad-hoc flag plumbing.
 
 pub mod config;
 pub mod grid;
@@ -31,11 +32,9 @@ pub mod pool;
 pub mod supply;
 pub mod sweep;
 
-#[allow(deprecated)]
-pub use config::SimConfig;
 pub use config::{AppSpec, DeviceSpec, ScenarioSpec, SupplySpec, APP_NAMES};
 pub use grid::{grid_points, run_grid, GridCell, GridSpec};
-pub use pool::{run_indexed, run_indexed_collect, PoolStats};
+pub use pool::{run_indexed, PoolStats};
 pub use supply::{rf_supply, rf_supply_phased, timer_supply_with_mean_on};
 pub use sweep::{
     parallel_sweep, run_sweep, sweep_matrix, sweep_matrix_observed, PruneStats, SweepEntry,

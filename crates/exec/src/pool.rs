@@ -70,47 +70,35 @@ impl PoolStats {
     }
 }
 
+/// One worker's parallel-path yield: its `(index, result)` pairs, its
+/// finished state summary, and its busy µs.
+type WorkerYield<R, U> = (Vec<(usize, R)>, U, u64);
+
 /// Runs `f` over every item of `items` using up to `jobs` worker threads
-/// and returns `(results, stats)` with `results[i] = f(state, i, &items[i])`
-/// — always in item order.
+/// and returns `(results, summaries, stats)` with
+/// `results[i] = f(state, i, &items[i])` — always in item order.
 ///
 /// `init` builds each worker's private state once, before it takes its
 /// first item; the serial sweep's per-sweep setup (machine, app) maps onto
 /// it directly. `jobs` is clamped to `1..=items.len()`; `jobs <= 1` runs
 /// the plain serial loop on the calling thread with no pool machinery at
 /// all, which keeps `--jobs 1` a true baseline.
-pub fn run_indexed<T, R, S, I, F>(jobs: usize, items: &[T], init: I, f: F) -> (Vec<R>, PoolStats)
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    let (results, _, stats) = run_indexed_collect(jobs, items, init, f, |_| ());
-    (results, stats)
-}
-
-/// Like [`run_indexed`], but additionally reduces each worker's final
-/// private state through `finish` (still on the worker's own thread) and
-/// hands back the summaries in worker-id order.
 ///
-/// This is what the streamed fleet path needs: each worker folds its
-/// devices into a bounded per-worker aggregate (counts, sums, sketches)
-/// instead of returning heavyweight per-device results, and the caller
-/// merges the `jobs` aggregates afterwards. When every fold operation is
-/// commutative and associative — sums, bucket counts, max — the merged
-/// aggregate is independent of how the scheduler sliced the items, which
-/// preserves the byte-identity guarantee with O(workers) memory.
+/// `finish` reduces each worker's final private state (still on the
+/// worker's own thread) to a summary; the summaries come back in
+/// worker-id order. The fleet engines use it to fold each worker's devices
+/// into a bounded per-worker aggregate (counts, sums, sketches) that the
+/// caller merges afterwards. When every fold operation is commutative and
+/// associative — sums, bucket counts, max — the merged aggregate is
+/// independent of how the scheduler sliced the items, which preserves the
+/// byte-identity guarantee with O(workers) memory. Callers with nothing
+/// to summarize pass `|_| ()`.
 ///
 /// `finish` runs before the worker thread joins, so the state itself never
 /// crosses threads — only the `U` summary must be `Send`. That lets states
 /// carry thread-bound machinery (a cached `Mcu`/`App` pair) alongside the
 /// aggregate that outlives the pool.
-/// One worker's parallel-path yield: its `(index, result)` pairs, its
-/// finished state summary, and its busy µs.
-type WorkerYield<R, U> = (Vec<(usize, R)>, U, u64);
-
-pub fn run_indexed_collect<T, R, S, U, I, F, G>(
+pub fn run_indexed<T, R, S, U, I, F, G>(
     jobs: usize,
     items: &[T],
     init: I,
@@ -213,9 +201,10 @@ mod tests {
     #[test]
     fn results_come_back_in_item_order_at_any_width() {
         let items: Vec<u64> = (0..257).collect();
-        let serial = run_indexed(1, &items, || (), |_, i, x| (i as u64) * 1000 + x).0;
+        let serial = run_indexed(1, &items, || (), |_, i, x| (i as u64) * 1000 + x, |_| ()).0;
         for jobs in [2, 3, 8] {
-            let parallel = run_indexed(jobs, &items, || (), |_, i, x| (i as u64) * 1000 + x).0;
+            let parallel =
+                run_indexed(jobs, &items, || (), |_, i, x| (i as u64) * 1000 + x, |_| ()).0;
             assert_eq!(parallel, serial, "jobs = {jobs}");
         }
     }
@@ -223,7 +212,7 @@ mod tests {
     #[test]
     fn worker_state_is_initialized_per_worker() {
         let items = vec![(); 64];
-        let (results, stats) = run_indexed(
+        let (results, _, stats) = run_indexed(
             4,
             &items,
             || 0u64,
@@ -231,6 +220,7 @@ mod tests {
                 *count += 1;
                 *count
             },
+            |_| (),
         );
         assert_eq!(results.len(), 64);
         // Each worker's private counter starts at zero, so walking the item
@@ -256,11 +246,11 @@ mod tests {
     #[test]
     fn empty_and_single_item_inputs_degrade_cleanly() {
         let none: Vec<u32> = vec![];
-        let (r, stats) = run_indexed(8, &none, || (), |_, _, x| *x);
+        let (r, _, stats) = run_indexed(8, &none, || (), |_, _, x| *x, |_| ());
         assert!(r.is_empty());
         assert_eq!(stats.jobs, 1);
         let one = vec![9u32];
-        let (r, _) = run_indexed(8, &one, || (), |_, _, x| *x * 2);
+        let (r, _, _) = run_indexed(8, &one, || (), |_, _, x| *x * 2, |_| ());
         assert_eq!(r, vec![18]);
     }
 
@@ -271,7 +261,7 @@ mod tests {
         // total regardless of width.
         for jobs in [1, 2, 4, 8] {
             let items = vec![(); 37];
-            let (results, states, stats) = run_indexed_collect(
+            let (results, states, stats) = run_indexed(
                 jobs,
                 &items,
                 || 0u64,
@@ -289,7 +279,7 @@ mod tests {
 
     #[test]
     fn worker_spans_pair_up() {
-        let (_, stats) = run_indexed(3, &[1, 2, 3, 4, 5], || (), |_, _, x| *x);
+        let (_, _, stats) = run_indexed(3, &[1, 2, 3, 4, 5], || (), |_, _, x| *x, |_| ());
         let spans = stats.worker_spans();
         assert_eq!(spans.len(), stats.jobs * 2);
         assert!(spans.iter().all(|e| matches!(

@@ -264,7 +264,7 @@ pub fn sweep_matrix_observed(
     // machine+app per entry they touch, built on first contact and reused
     // across batches — and across *entries*: the pool is spawned once for
     // the whole matrix.
-    let (results, stats) = run_indexed(
+    let (results, _, stats) = run_indexed(
         opts.jobs,
         &items,
         HashMap::<usize, (Mcu, App)>::new,
@@ -297,6 +297,7 @@ pub fn sweep_matrix_observed(
             }
             (records, t0.elapsed().as_micros() as u64)
         },
+        |_| (),
     );
 
     if let Some(p) = progress {

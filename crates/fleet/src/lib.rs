@@ -27,17 +27,17 @@
 //! only copies the pages the previous run dirtied, so a mostly-idle fleet
 //! costs ~nothing per extra device and 10k+ devices are practical.
 //!
-//! ## Two execution paths, one report
+//! ## One execution path, an optional record stream
 //!
-//! [`run_fleet`] holds every [`DeviceResult`] in memory — right for tests
-//! and small fleets that want per-device access afterwards.
-//! [`run_fleet_streamed`] instead writes each device's record to a
-//! per-worker JSONL shard as it completes and folds it into a bounded
-//! [`FleetAgg`]; only the radio logs (needed by the gateway's collision
-//! merge) survive per device. Both paths aggregate through the same
-//! [`FleetAgg`], whose fold is commutative, so the streamed report is
-//! byte-identical to the in-memory one at any `--jobs` width while peak
-//! memory stays O(workers + sketches) instead of O(devices).
+//! [`run_fleet`] is the only fleet engine. Each worker folds the devices
+//! it runs into its own bounded [`FleetAgg`]; the per-worker aggregates
+//! merge afterwards, and only the radio logs (needed by the gateway's
+//! collision merge) survive per device. Given a stream, each device's
+//! record also goes to a per-worker JSONL shard as it completes, and the
+//! shards k-way-merge into the stream in device order; without one, no
+//! shard file is created at all. The fold is commutative, so the report
+//! is byte-identical with or without a stream and at any `--jobs` width,
+//! while peak memory stays O(workers + sketches) instead of O(devices).
 
 pub mod gateway;
 pub mod rollout;
@@ -45,12 +45,12 @@ pub mod telemetry;
 
 pub use gateway::{find_air_duplicate, reconcile, reconcile_logs, AirDuplicate, GatewayStats};
 pub use rollout::{
-    run_rollout, run_rollout_observed, run_rollout_streamed, RolloutOutcome, RolloutPolicy,
-    RolloutViolation, RolloutViolationKind, StreamedRolloutOutcome,
+    run_rollout, run_rollout_streamed, RolloutOutcome, RolloutPolicy, RolloutViolation,
+    RolloutViolationKind, StreamedRolloutOutcome,
 };
 pub use telemetry::FleetAgg;
 
-use easeio_exec::{run_indexed, run_indexed_collect, PoolStats, ScenarioSpec};
+use easeio_exec::{run_indexed, PoolStats, ScenarioSpec};
 use easeio_trace::fleet::{FleetDeliveryDoc, FleetInputs, FleetMediumDoc, FleetTimingDoc};
 use easeio_trace::stream::{JsonlWriter, ShardedSink, StreamStats};
 use easeio_trace::sweep::FaultSpecDoc;
@@ -59,8 +59,7 @@ use kernel::{run_app, App, ExecConfig, Outcome, Verdict};
 use mcu_emu::{Mcu, McuSnapshot, RunStats, Supply};
 use periph::{Packet, Peripherals};
 
-/// Everything one device's run produced, in device-index order inside
-/// [`FleetOutcome::results`].
+/// Everything one device's run produced.
 #[derive(Debug, Clone)]
 pub struct DeviceResult {
     /// Device index (0-based).
@@ -114,52 +113,39 @@ impl DeviceResult {
     }
 }
 
-/// One complete fleet run: per-device results in device order, the
-/// gateway's reconciliation, and the pool's utilization record.
-#[derive(Debug, Clone)]
-pub struct FleetOutcome {
-    /// Per-device results, indexed by device.
-    pub results: Vec<DeviceResult>,
-    /// Gateway delivery accounting over the shared medium.
-    pub gateway: GatewayStats,
-    /// Worker utilization (host timing; stripped from report identity).
-    pub pool: PoolStats,
-}
-
-/// A streamed fleet run: the bounded aggregate and gateway accounting,
-/// with per-device records already on disk instead of in memory.
+/// One complete fleet run: the bounded aggregate and gateway accounting,
+/// with per-device records in the caller's stream (if any) instead of in
+/// memory.
 #[derive(Debug)]
-pub struct StreamedFleetOutcome {
+pub struct FleetOutcome {
     /// Fleet-wide aggregate (merged per-worker folds).
     pub agg: FleetAgg,
     /// Gateway delivery accounting over the shared medium.
     pub gateway: GatewayStats,
     /// Worker utilization (host timing; stripped from report identity).
     pub pool: PoolStats,
-    /// What the sharded sink merged.
+    /// What the sharded sink merged; all zero when no stream was given.
     pub stream: StreamStats,
     /// Per-device radio logs in device order — the one per-device datum
     /// the gateway's collision merge cannot reduce incrementally.
     pub packets: Vec<(u32, Vec<Packet>)>,
 }
 
-/// Runs one device of the scenario on a worker's cached machine,
-/// restoring the shared template snapshot first. The result is a function
-/// of `(spec, device)` alone — the determinism contract both execution
-/// paths and every `--jobs` width rely on.
-fn run_device(
+/// The outcome of [`run_fleet_streamed`]: the one [`FleetOutcome`].
+pub type StreamedFleetOutcome = FleetOutcome;
+
+/// Runs one device of the scenario on `mcu`, restoring `snap` first. The
+/// caller picks the machine, the app and the snapshot they were built
+/// from (the fleet's template, or the rollout's image variant). The
+/// result is a function of `(spec, snap, device)` alone — the determinism
+/// contract every `--jobs` width relies on.
+pub fn run_device(
     spec: &ScenarioSpec,
+    mcu: &mut Mcu,
+    app: &App,
     snap: &McuSnapshot,
-    cache: &mut Option<(Mcu, App)>,
     device: u32,
 ) -> DeviceResult {
-    let (mcu, app) = cache.get_or_insert_with(|| {
-        let mut mcu = Mcu::new(Supply::continuous());
-        let app = spec
-            .build_app(&mut mcu)
-            .expect("template validated on the coordinator");
-        (mcu, app)
-    });
     mcu.restore(snap);
     mcu.supply = spec.supply_for_device(device);
     let mut periph = Peripherals::new(spec.device_seed(device));
@@ -183,113 +169,50 @@ fn run_device(
     }
 }
 
-/// Validates the template once on the coordinator so workers can't hit a
-/// build error mid-pool, and returns the shared CoW snapshot.
-fn template_snapshot(spec: &ScenarioSpec) -> Result<McuSnapshot, String> {
-    let mut template = Mcu::new(Supply::continuous());
-    spec.build_app(&mut template)?;
-    Ok(template.snapshot())
+/// Where one pool invocation's device records go: a private shard per
+/// worker, k-way-merged into the caller's stream afterwards — or, with no
+/// stream, nowhere (no shard file is created).
+struct RecordSink(Option<ShardedSink>);
+
+impl RecordSink {
+    /// Shards named after `out`'s path plus `suffix`, one per worker.
+    fn create(out: Option<&JsonlWriter>, suffix: &str, jobs: usize) -> Result<Self, String> {
+        out.map(|out| {
+            ShardedSink::create(&format!("{}{suffix}", out.path()), jobs)
+                .map_err(|e| format!("stream shards for {}: {e}", out.path()))
+        })
+        .transpose()
+        .map(RecordSink)
+    }
+
+    /// A worker's shard (call from the pool's per-worker init).
+    fn claim(&self) -> usize {
+        self.0.as_ref().map_or(0, ShardedSink::claim)
+    }
+
+    fn write(&self, shard: usize, r: &DeviceResult) {
+        if let Some(sink) = &self.0 {
+            sink.write(shard, r.device as u64, &r.record_line());
+        }
+    }
+
+    /// Merges the shards into `out` in device order and deletes them.
+    fn merge_into(self, out: Option<&mut JsonlWriter>) -> Result<StreamStats, String> {
+        match (self.0, out) {
+            (Some(sink), Some(out)) => sink
+                .merge_into(out)
+                .map_err(|e| format!("stream merge into {}: {e}", out.path())),
+            _ => Ok(StreamStats::default()),
+        }
+    }
 }
 
-/// Runs the scenario's fleet: `spec.count` devices, sharded across
-/// `spec.jobs` workers, reconciled at the gateway.
-///
-/// Every worker builds its own template machine + app once (allocator
-/// addresses are deterministic, so all workers' templates are identical),
-/// then serves devices by restoring the shared CoW snapshot and installing
-/// the device's supply and fault plan — the same restore discipline the
-/// crash sweep uses, which is what makes results a function of the device
-/// index alone.
-pub fn run_fleet(spec: &ScenarioSpec) -> Result<FleetOutcome, String> {
-    run_fleet_observed(spec, None)
-}
-
-/// [`run_fleet`] with a live progress channel: ticks one unit per device
-/// completed in a `"devices"` phase.
-pub fn run_fleet_observed(
+/// Reconciles the radio logs at the gateway as the `"reconcile"` phase.
+fn reconcile_phase(
+    packets: &[(u32, Vec<Packet>)],
     spec: &ScenarioSpec,
     progress: Option<&Progress>,
-) -> Result<FleetOutcome, String> {
-    if spec.count == 0 {
-        return Err("a fleet needs at least 1 device".into());
-    }
-    let snap = template_snapshot(spec)?;
-    if let Some(p) = progress {
-        p.begin_phase("devices", spec.count as u64);
-    }
-    let devices: Vec<u32> = (0..spec.count).collect();
-    let (results, pool) = run_indexed(
-        spec.jobs,
-        &devices,
-        || None::<(Mcu, App)>,
-        |state, _, &device| {
-            let r = run_device(spec, &snap, state, device);
-            if let Some(p) = progress {
-                p.add(1);
-            }
-            r
-        },
-    );
-    if let Some(p) = progress {
-        p.begin_phase("reconcile", 1);
-    }
-    let gateway = reconcile(&results, &spec.medium);
-    if let Some(p) = progress {
-        p.add(1);
-    }
-    Ok(FleetOutcome {
-        results,
-        gateway,
-        pool,
-    })
-}
-
-/// Runs the fleet in bounded memory: each worker appends finished device
-/// records to a private JSONL shard and folds them into its own
-/// [`FleetAgg`]; the shards k-way-merge into `out` in device order and
-/// the per-worker aggregates merge into one.
-///
-/// Peak memory is O(workers + sketches + radio logs) — per-device
-/// `RunStats` ledgers never accumulate. The report built from the result
-/// is byte-identical to [`run_fleet`]'s at any `--jobs` width.
-pub fn run_fleet_streamed(
-    spec: &ScenarioSpec,
-    out: &mut JsonlWriter,
-    progress: Option<&Progress>,
-) -> Result<StreamedFleetOutcome, String> {
-    if spec.count == 0 {
-        return Err("a fleet needs at least 1 device".into());
-    }
-    let snap = template_snapshot(spec)?;
-    let jobs = spec.jobs.max(1).min(spec.count as usize);
-    let sink = ShardedSink::create(out.path(), jobs)
-        .map_err(|e| format!("stream shards for {}: {e}", out.path()))?;
-    if let Some(p) = progress {
-        p.begin_phase("devices", spec.count as u64);
-    }
-    let devices: Vec<u32> = (0..spec.count).collect();
-    let (packets, aggs, pool) = run_indexed_collect(
-        spec.jobs,
-        &devices,
-        || (None::<(Mcu, App)>, FleetAgg::new(), sink.claim()),
-        |(cache, agg, shard), _, &device| {
-            let r = run_device(spec, &snap, cache, device);
-            agg.observe(&r);
-            sink.write(*shard, device as u64, &r.record_line());
-            if let Some(p) = progress {
-                p.add(1);
-            }
-            (device, r.packets)
-        },
-        |(_, agg, _)| agg,
-    );
-    let stream = sink
-        .merge_into(out)
-        .map_err(|e| format!("stream merge into {}: {e}", out.path()))?;
-    let mut agg = FleetAgg::new();
-    for worker in &aggs {
-        agg.merge(worker);
-    }
+) -> GatewayStats {
     if let Some(p) = progress {
         p.begin_phase("reconcile", 1);
     }
@@ -300,7 +223,73 @@ pub fn run_fleet_streamed(
     if let Some(p) = progress {
         p.add(1);
     }
-    Ok(StreamedFleetOutcome {
+    gateway
+}
+
+/// Runs the scenario's fleet: `spec.count` devices, sharded across
+/// `spec.jobs` workers, reconciled at the gateway. `progress` ticks one
+/// unit per device in a `"devices"` phase, then a `"reconcile"` phase.
+///
+/// Every worker builds its own template machine + app once (allocator
+/// addresses are deterministic, so all workers' templates are identical),
+/// then serves devices by restoring the shared CoW snapshot and installing
+/// the device's supply and fault plan — the same restore discipline the
+/// crash sweep uses, which is what makes results a function of the device
+/// index alone. Each worker folds its devices into its own [`FleetAgg`]
+/// and, given a `stream`, appends their records to a private JSONL shard;
+/// the shards k-way-merge into `stream` in device order.
+///
+/// Peak memory is O(workers + sketches + radio logs) — per-device
+/// `RunStats` ledgers never accumulate. The report is byte-identical with
+/// or without a stream, at any `--jobs` width.
+pub fn run_fleet(
+    spec: &ScenarioSpec,
+    stream: Option<&mut JsonlWriter>,
+    progress: Option<&Progress>,
+) -> Result<FleetOutcome, String> {
+    if spec.count == 0 {
+        return Err("a fleet needs at least 1 device".into());
+    }
+    // Validate the template once on the coordinator so workers can't hit
+    // a build error mid-pool.
+    let mut template = Mcu::new(Supply::continuous());
+    spec.build_app(&mut template)?;
+    let snap = template.snapshot();
+    let jobs = spec.jobs.max(1).min(spec.count as usize);
+    let sink = RecordSink::create(stream.as_deref(), "", jobs)?;
+    if let Some(p) = progress {
+        p.begin_phase("devices", spec.count as u64);
+    }
+    let devices: Vec<u32> = (0..spec.count).collect();
+    let (packets, aggs, pool) = run_indexed(
+        spec.jobs,
+        &devices,
+        || (None::<(Mcu, App)>, FleetAgg::new(), sink.claim()),
+        |(cache, agg, shard), _, &device| {
+            let (mcu, app) = cache.get_or_insert_with(|| {
+                let mut mcu = Mcu::new(Supply::continuous());
+                let app = spec
+                    .build_app(&mut mcu)
+                    .expect("template validated on the coordinator");
+                (mcu, app)
+            });
+            let r = run_device(spec, mcu, app, &snap, device);
+            agg.observe(&r);
+            sink.write(*shard, &r);
+            if let Some(p) = progress {
+                p.add(1);
+            }
+            (device, r.packets)
+        },
+        |(_, agg, _)| agg,
+    );
+    let stream = sink.merge_into(stream)?;
+    let mut agg = FleetAgg::new();
+    for worker in &aggs {
+        agg.merge(worker);
+    }
+    let gateway = reconcile_phase(&packets, spec, progress);
+    Ok(FleetOutcome {
         agg,
         gateway,
         pool,
@@ -309,10 +298,19 @@ pub fn run_fleet_streamed(
     })
 }
 
-/// The shared report assembly both execution paths feed: everything comes
-/// from the commutative [`FleetAgg`] and the order-independent gateway
-/// ledger, so the two paths (and every `--jobs` width) render identically
-/// outside the stripped `timing` block.
+/// [`run_fleet`] with its device records streamed into `out`.
+pub fn run_fleet_streamed(
+    spec: &ScenarioSpec,
+    out: &mut JsonlWriter,
+    progress: Option<&Progress>,
+) -> Result<StreamedFleetOutcome, String> {
+    run_fleet(spec, Some(out), progress)
+}
+
+/// The fleet report assembly: everything comes from the commutative
+/// [`FleetAgg`] and the order-independent gateway ledger, so every
+/// `--jobs` width, with or without a stream, renders identically outside
+/// the stripped `timing` block.
 pub(crate) fn fleet_inputs(
     spec: &ScenarioSpec,
     agg: &FleetAgg,
@@ -359,74 +357,27 @@ pub(crate) fn fleet_inputs(
 
 /// Host timing block from a pool record (measurement, stripped from
 /// report identity), including the process peak RSS the memory-ceiling CI
-/// gate reads.
-pub(crate) fn timing_doc(pool: &PoolStats, streamed_records: Option<u64>) -> FleetTimingDoc {
+/// gate reads and, for a streamed run, the records merged.
+pub(crate) fn timing_doc(pool: &PoolStats, stream: &StreamStats) -> FleetTimingDoc {
     FleetTimingDoc {
         jobs: pool.jobs as u64,
         wall_us: pool.wall_us,
         devices_per_worker: pool.items_per_worker.clone(),
         busy_us_per_worker: pool.busy_us_per_worker.clone(),
         peak_rss_bytes: mcu_emu::peak_rss_bytes(),
-        streamed_records,
+        streamed_records: (stream.shards > 0).then_some(stream.records),
     }
 }
 
 impl FleetOutcome {
-    /// The fleet-wide aggregate, folded from the in-memory results in
-    /// device order. Equal to the streamed path's merged per-worker
-    /// aggregates because the fold is commutative.
-    pub fn agg(&self) -> FleetAgg {
-        let mut agg = FleetAgg::new();
-        for r in &self.results {
-            agg.observe(r);
-        }
-        agg
-    }
-
-    /// Power-failure reboots summed across the fleet.
-    pub fn power_failures(&self) -> u64 {
-        self.results.iter().map(|r| r.stats.power_failures).sum()
-    }
-
-    /// Fleet-wide energy ledger: every device's attribution summed.
-    pub fn energy(&self) -> easeio_trace::fleet::FleetEnergyDoc {
-        self.agg().energy()
-    }
-
-    /// Straggler percentiles over per-device wall-clock (sketch-based;
-    /// see [`FleetAgg::stragglers`]).
-    pub fn stragglers(&self) -> easeio_trace::fleet::FleetStragglerDoc {
-        self.agg().stragglers()
-    }
-
-    /// Per-device outcome tally.
-    pub fn outcomes(&self) -> easeio_trace::fleet::FleetOutcomesDoc {
-        self.agg().outcomes()
-    }
-
-    /// The `kind: "fleet"` report inputs for this outcome. Host timing
-    /// from the pool is included; `identity_document` strips it before
-    /// any `--jobs` comparison.
-    pub fn report_inputs(&self, spec: &ScenarioSpec) -> FleetInputs {
-        fleet_inputs(
-            spec,
-            &self.agg(),
-            &self.gateway,
-            timing_doc(&self.pool, None),
-        )
-    }
-}
-
-impl StreamedFleetOutcome {
-    /// The `kind: "fleet"` report inputs — byte-identical to
-    /// [`FleetOutcome::report_inputs`] outside the stripped `timing`
-    /// block.
+    /// The `kind: "fleet"` report inputs. Host timing from the pool is
+    /// included; `identity_document` strips it before any comparison.
     pub fn report_inputs(&self, spec: &ScenarioSpec) -> FleetInputs {
         fleet_inputs(
             spec,
             &self.agg,
             &self.gateway,
-            timing_doc(&self.pool, Some(self.stream.records)),
+            timing_doc(&self.pool, &self.stream),
         )
     }
 }
@@ -451,27 +402,38 @@ mod tests {
         }
     }
 
+    /// Every device of `spec` through [`run_device`] on one template
+    /// machine: the per-device results the engine folds.
+    fn device_results(spec: &ScenarioSpec) -> Vec<DeviceResult> {
+        let mut mcu = Mcu::new(Supply::continuous());
+        let app = spec.build_app(&mut mcu).unwrap();
+        let snap = mcu.snapshot();
+        (0..spec.count)
+            .map(|d| run_device(spec, &mut mcu, &app, &snap, d))
+            .collect()
+    }
+
     #[test]
     fn small_easeio_fleet_delivers_exactly_once() {
         let spec = radio_fleet(8, KernelKind::EaseIo);
-        let fleet = run_fleet(&spec).unwrap();
-        assert_eq!(fleet.results.len(), 8);
-        let o = fleet.outcomes();
+        let fleet = run_fleet(&spec, None, None).unwrap();
+        assert_eq!(fleet.agg.devices(), 8);
+        let o = fleet.agg.outcomes();
         assert_eq!(o.completed, 8);
         assert_eq!(o.correct, 8);
         // Single semantics: no identity transmits twice, even across the
         // fleet's power failures.
         assert_eq!(fleet.gateway.air_duplicates, 0);
-        assert!(fleet.power_failures() > 0, "timer supply must cycle");
+        assert!(fleet.agg.power_failures() > 0, "timer supply must cycle");
         // Device seeds decorrelate the supplies: not all wall-clocks equal.
-        let walls: Vec<u64> = fleet.results.iter().map(|r| r.wall_us).collect();
-        assert!(walls.iter().any(|&w| w != walls[0]), "{walls:?}");
+        let wall = fleet.agg.wall();
+        assert!(wall.min() < wall.max(), "{} .. {}", wall.min(), wall.max());
     }
 
     #[test]
     fn fleet_report_validates_as_kind_fleet() {
         let spec = radio_fleet(4, KernelKind::EaseIo);
-        let fleet = run_fleet(&spec).unwrap();
+        let fleet = run_fleet(&spec, None, None).unwrap();
         let doc = build_fleet_report(&fleet.report_inputs(&spec));
         let parsed = easeio_trace::parse_json(&doc.to_pretty()).unwrap();
         assert_eq!(
@@ -483,26 +445,30 @@ mod tests {
     #[test]
     fn empty_fleet_is_an_error_and_bad_apps_fail_early() {
         let mut spec = radio_fleet(0, KernelKind::EaseIo);
-        assert!(run_fleet(&spec).is_err());
+        assert!(run_fleet(&spec, None, None).is_err());
         spec.count = 1;
         spec.device.app = AppSpec::Named("no-such-app".into());
-        assert!(run_fleet(&spec).unwrap_err().contains("no-such-app"));
+        assert!(run_fleet(&spec, None, None)
+            .unwrap_err()
+            .contains("no-such-app"));
     }
 
     #[test]
     fn attribution_stays_balanced_across_the_fleet() {
         let spec = radio_fleet(6, KernelKind::Alpaca);
-        let fleet = run_fleet(&spec).unwrap();
-        for r in &fleet.results {
+        let results = device_results(&spec);
+        for r in &results {
             assert!(r.stats.attribution_balanced(), "device {}", r.device);
         }
-        let energy = fleet.energy();
+        let energy = run_fleet(&spec, None, None).unwrap().agg.energy();
         let cause_sum: u64 = energy.cause_energy_nj.iter().sum();
         assert_eq!(cause_sum, energy.total_energy_nj);
+        let device_sum: u64 = results.iter().map(|r| r.stats.total_energy_nj()).sum();
+        assert_eq!(energy.total_energy_nj, device_sum);
     }
 
     #[test]
-    fn streamed_fleet_matches_in_memory_and_writes_device_order() {
+    fn fleet_with_stream_matches_without_and_writes_device_order() {
         let dir = std::env::temp_dir().join("easeio-fleet-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir
@@ -510,18 +476,23 @@ mod tests {
             .to_string_lossy()
             .into_owned();
         let spec = radio_fleet(12, KernelKind::EaseIo);
-        let mem = run_fleet(&spec).unwrap();
+        let bare = run_fleet(&spec, None, None).unwrap();
+        assert_eq!(bare.stream, StreamStats::default());
         let mut spec4 = spec.clone();
         spec4.jobs = 4;
         let mut out = JsonlWriter::create(&path).unwrap();
-        let streamed = run_fleet_streamed(&spec4, &mut out, None).unwrap();
+        let streamed = run_fleet(&spec4, Some(&mut out), None).unwrap();
         drop(out);
-        assert_eq!(streamed.gateway, mem.gateway);
-        assert_eq!(streamed.agg.outcomes(), mem.outcomes());
-        assert_eq!(streamed.agg.stragglers(), mem.stragglers());
+        assert_eq!(streamed.gateway, bare.gateway);
+        assert_eq!(streamed.agg.outcomes(), bare.agg.outcomes());
+        assert_eq!(streamed.agg.stragglers(), bare.agg.stragglers());
+        assert_eq!(streamed.packets, bare.packets);
         assert_eq!(streamed.stream.records, 12);
         let text = std::fs::read_to_string(&path).unwrap();
-        let expected: String = mem.results.iter().map(|r| r.record_line() + "\n").collect();
+        let expected: String = device_results(&spec)
+            .iter()
+            .map(|r| r.record_line() + "\n")
+            .collect();
         assert_eq!(text, expected, "stream is the device-ordered records");
         let _ = std::fs::remove_file(&path);
     }
@@ -530,7 +501,7 @@ mod tests {
     fn progress_ticks_through_the_fleet_phases() {
         let spec = radio_fleet(5, KernelKind::EaseIo);
         let progress = Progress::new();
-        run_fleet_observed(&spec, Some(&progress)).unwrap();
+        run_fleet(&spec, None, Some(&progress)).unwrap();
         let s = progress.snapshot();
         assert_eq!(s.phase, "reconcile");
         assert_eq!((s.done, s.total), (1, 1));

@@ -28,25 +28,24 @@
 //! report is byte-identical at any `--jobs` width, and a 1-device
 //! no-loss rollout reproduces the single-device staged update exactly.
 //!
-//! Like the plain fleet, the rollout has a streamed twin
-//! ([`run_rollout_streamed`]): each wave's device records go through a
-//! per-wave sharded sink merged into one shared JSONL stream (waves are
+//! Like the plain fleet, [`run_rollout`] is one execution path with an
+//! optional record stream: per-device results fold into a [`FleetAgg`]
+//! instead of accumulating, and given a stream each wave's device records
+//! go through a per-wave sharded sink merged into it (waves are
 //! device-ordered, so concatenating the merged waves preserves global
-//! device order), and per-device results fold into a [`FleetAgg`] instead
-//! of accumulating.
+//! device order). Without a stream no shard file is created.
 
 use crate::telemetry::FleetAgg;
-use crate::{reconcile, reconcile_logs, DeviceResult, FleetOutcome, GatewayStats};
+use crate::{reconcile_phase, run_device, DeviceResult, GatewayStats, RecordSink};
 use apps::ota_update::{self, OtaUpdateCfg};
-use easeio_exec::{run_indexed, run_indexed_collect, PoolStats, ScenarioSpec};
+use easeio_exec::{run_indexed, PoolStats, ScenarioSpec};
 use easeio_trace::fleet::{FleetInputs, FleetRolloutDoc};
-use easeio_trace::stream::{JsonlWriter, ShardedSink, StreamStats};
+use easeio_trace::stream::{JsonlWriter, StreamStats};
 use easeio_trace::Progress;
 use kernel::update::{PROBE_DUPLICATE_ACTIVATION, PROBE_VERSION_TORN};
-use kernel::{run_app, App, ExecConfig, Outcome, Verdict};
+use kernel::{App, Outcome, Verdict};
 use mcu_emu::{Mcu, McuSnapshot, Supply};
-use periph::{MediumSpec, Packet, Peripherals};
-use std::collections::HashMap;
+use periph::{MediumSpec, Packet};
 
 /// How the gateway rolls the update out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,40 +101,19 @@ pub struct RolloutViolation {
     pub kind: RolloutViolationKind,
 }
 
-/// One complete rollout: the merged fleet outcome (device order) plus the
-/// version-convergence accounting.
-#[derive(Debug, Clone)]
-pub struct RolloutOutcome {
-    /// Per-device results and gateway reconciliation, as in a plain fleet
-    /// run.
-    pub fleet: FleetOutcome,
-    /// The `rollout` report block.
-    pub stats: FleetRolloutDoc,
-    /// First device that tripped an update-safety probe, if any.
-    pub first_violation: Option<RolloutViolation>,
-}
-
-impl RolloutOutcome {
-    /// The `kind: "fleet"` report inputs with the `rollout` block filled
-    /// in.
-    pub fn report_inputs(&self, spec: &ScenarioSpec) -> FleetInputs {
-        let mut inp = self.fleet.report_inputs(spec);
-        inp.rollout = Some(self.stats.clone());
-        inp
-    }
-}
-
-/// A streamed rollout: bounded aggregate, gateway accounting, and the
-/// version-convergence stats, with per-device records on disk.
+/// One complete rollout: bounded aggregate, gateway accounting, and the
+/// version-convergence stats, with per-device records in the caller's
+/// stream (if any) instead of in memory.
 #[derive(Debug)]
-pub struct StreamedRolloutOutcome {
+pub struct RolloutOutcome {
     /// Fleet-wide aggregate (merged per-worker folds across all waves).
     pub agg: FleetAgg,
     /// Gateway delivery accounting over the shared medium.
     pub gateway: GatewayStats,
     /// Worker utilization, summed over waves.
     pub pool: PoolStats,
-    /// What the per-wave sinks merged, summed over waves.
+    /// What the per-wave sinks merged, summed over waves; all zero when no
+    /// stream was given.
     pub stream: StreamStats,
     /// The `rollout` report block.
     pub stats: FleetRolloutDoc,
@@ -143,16 +121,18 @@ pub struct StreamedRolloutOutcome {
     pub first_violation: Option<RolloutViolation>,
 }
 
-impl StreamedRolloutOutcome {
-    /// The `kind: "fleet"` report inputs — byte-identical to
-    /// [`RolloutOutcome::report_inputs`] outside the stripped `timing`
-    /// block.
+/// The outcome of [`run_rollout_streamed`]: the one [`RolloutOutcome`].
+pub type StreamedRolloutOutcome = RolloutOutcome;
+
+impl RolloutOutcome {
+    /// The `kind: "fleet"` report inputs with the `rollout` block filled
+    /// in.
     pub fn report_inputs(&self, spec: &ScenarioSpec) -> FleetInputs {
         let mut inp = crate::fleet_inputs(
             spec,
             &self.agg,
             &self.gateway,
-            crate::timing_doc(&self.pool, Some(self.stream.records)),
+            crate::timing_doc(&self.pool, &self.stream),
         );
         inp.rollout = Some(self.stats.clone());
         inp
@@ -195,7 +175,7 @@ fn downlink(medium: &MediumSpec, device: u32, chunks: u32, attempts: u32) -> Dow
     d
 }
 
-/// The validated, precomputed rollout plan shared by both execution paths.
+/// The validated, precomputed rollout plan.
 struct RolloutPlan {
     snaps: [McuSnapshot; 2],
     cfgs: [OtaUpdateCfg; 2],
@@ -241,43 +221,6 @@ fn plan_rollout(spec: &ScenarioSpec, policy: &RolloutPolicy) -> Result<RolloutPl
         attempts: 1 + spec.device.fault.retry.max_retries,
         waves: spec.count.div_ceil(policy.wave_size),
     })
-}
-
-/// Runs one OTA device on a worker's cached machine (cache keyed by app
-/// variant). Pure in `(spec, plan, device, received)`.
-fn run_ota_device(
-    spec: &ScenarioSpec,
-    plan: &RolloutPlan,
-    cache: &mut HashMap<bool, (Mcu, App)>,
-    device: u32,
-    received: bool,
-) -> DeviceResult {
-    let (mcu, app) = cache.entry(received).or_insert_with(|| {
-        let mut mcu = Mcu::new(Supply::continuous());
-        let (app, _) = ota_update::build(&mut mcu, &plan.cfgs[received as usize]);
-        (mcu, app)
-    });
-    mcu.restore(&plan.snaps[received as usize]);
-    mcu.supply = spec.supply_for_device(device);
-    let mut periph = Peripherals::new(spec.device_seed(device));
-    let fault = spec.fault_for_device(device);
-    fault.apply(&mut periph);
-    let mut rt = spec.kernel_builder().with_faults(fault).build();
-    let cfg = ExecConfig {
-        retry: fault.retry,
-        ..ExecConfig::default()
-    };
-    let r = run_app(app, rt.as_mut(), mcu, &mut periph, &cfg);
-    DeviceResult {
-        device,
-        seed: spec.device_seed(device),
-        outcome: r.outcome,
-        verdict: r.verdict,
-        wall_us: r.wall_us,
-        on_us: r.on_us,
-        stats: r.stats,
-        packets: periph.radio.packets().to_vec(),
-    }
 }
 
 /// Deterministic gateway-side pre-pass for one wave: which devices get
@@ -357,16 +300,17 @@ fn review_wave(
 /// The scenario's app is fixed to `ota-update` (two variants: received the
 /// image / did not); the scenario's kernel decides the on-device protocol
 /// via [`kernel::KernelKind::two_phase_update`]. Everything else — supply,
-/// faults, medium, seeds, `jobs` — is the scenario's own.
-pub fn run_rollout(spec: &ScenarioSpec, policy: &RolloutPolicy) -> Result<RolloutOutcome, String> {
-    run_rollout_observed(spec, policy, None)
-}
-
-/// [`run_rollout`] with a live progress channel: ticks one unit per
-/// device in a `"devices"` phase, with the wave index alongside.
-pub fn run_rollout_observed(
+/// faults, medium, seeds, `jobs` — is the scenario's own. Each wave's
+/// device records stream through a per-wave sharded sink merged into
+/// `stream`, if given (waves are device-ordered, so the concatenated
+/// stream is globally device-ordered and byte-identical at any `--jobs`
+/// width), and per-device results fold into one [`FleetAgg`]. `progress`
+/// ticks one unit per device in a `"devices"` phase, with the wave index
+/// alongside.
+pub fn run_rollout(
     spec: &ScenarioSpec,
     policy: &RolloutPolicy,
+    mut stream: Option<&mut JsonlWriter>,
     progress: Option<&Progress>,
 ) -> Result<RolloutOutcome, String> {
     let plan = plan_rollout(spec, policy)?;
@@ -382,97 +326,9 @@ pub fn run_rollout_observed(
         ..FleetRolloutDoc::default()
     };
     let mut first_violation = None;
-    let mut results: Vec<DeviceResult> = Vec::with_capacity(spec.count as usize);
-    let mut pool_total: Option<PoolStats> = None;
-    let mut aborted = false;
-
-    for wave in 0..plan.waves {
-        let first = wave * policy.wave_size;
-        let last = (first + policy.wave_size).min(spec.count);
-        let offered = !aborted;
-        if offered {
-            stats.waves_rolled_out += 1;
-        }
-        if let Some(p) = progress {
-            p.set_wave(wave as u64 + 1, plan.waves as u64);
-        }
-        let items = plan_wave(spec, &plan, first, last, offered, &mut stats);
-
-        // Device phase: same restore discipline as `run_fleet`, with the
-        // worker cache keyed by app variant.
-        let (wave_results, pool) = run_indexed(
-            spec.jobs,
-            &items,
-            HashMap::<bool, (Mcu, App)>::new,
-            |cache, _, &(device, received)| {
-                let r = run_ota_device(spec, &plan, cache, device, received);
-                if let Some(p) = progress {
-                    p.add(1);
-                }
-                r
-            },
-        );
-        merge_pool(&mut pool_total, pool, first as usize);
-
-        let regressed = review_wave(
-            wave,
-            &items,
-            &wave_results,
-            &mut stats,
-            &mut first_violation,
-        );
-        results.extend(wave_results);
-        if offered && policy.abort_on_regression && regressed {
-            aborted = true;
-        }
-    }
-    stats.aborted = aborted;
-
-    if let Some(p) = progress {
-        p.begin_phase("reconcile", 1);
-    }
-    let gateway = reconcile(&results, &spec.medium);
-    if let Some(p) = progress {
-        p.add(1);
-    }
-    Ok(RolloutOutcome {
-        fleet: FleetOutcome {
-            results,
-            gateway,
-            pool: pool_total.expect("at least one wave ran"),
-        },
-        stats,
-        first_violation,
-    })
-}
-
-/// Runs the rollout in bounded memory: each wave streams its device
-/// records through a per-wave sharded sink merged into `out` (waves are
-/// device-ordered, so the concatenated stream is globally device-ordered
-/// and byte-identical at any `--jobs` width), and per-device results fold
-/// into one [`FleetAgg`].
-pub fn run_rollout_streamed(
-    spec: &ScenarioSpec,
-    policy: &RolloutPolicy,
-    out: &mut JsonlWriter,
-    progress: Option<&Progress>,
-) -> Result<StreamedRolloutOutcome, String> {
-    let plan = plan_rollout(spec, policy)?;
-    if let Some(p) = progress {
-        p.begin_phase("devices", spec.count as u64);
-        p.set_wave(0, plan.waves as u64);
-    }
-
-    let mut stats = FleetRolloutDoc {
-        target_seq: policy.target_seq as u64,
-        wave_size: policy.wave_size as u64,
-        waves: plan.waves as u64,
-        ..FleetRolloutDoc::default()
-    };
-    let mut first_violation = None;
     let mut agg = FleetAgg::new();
     let mut packets: Vec<(u32, Vec<Packet>)> = Vec::with_capacity(spec.count as usize);
-    let mut stream = StreamStats::default();
+    let mut merged = StreamStats::default();
     let mut pool_total: Option<PoolStats> = None;
     let mut aborted = false;
 
@@ -489,25 +345,25 @@ pub fn run_rollout_streamed(
         let items = plan_wave(spec, &plan, first, last, offered, &mut stats);
 
         let jobs = spec.jobs.max(1).min(items.len().max(1));
-        let sink = ShardedSink::create(&format!("{}.wave{wave}", out.path()), jobs)
-            .map_err(|e| format!("stream shards for {}: {e}", out.path()))?;
-        // The wave is small (`wave_size` devices), so holding its
-        // `DeviceResult`s for the review pass keeps memory bounded by the
-        // wave, not the fleet.
-        let (wave_results, aggs, pool) = run_indexed_collect(
+        let sink = RecordSink::create(stream.as_deref(), &format!(".wave{wave}"), jobs)?;
+        // Device phase: the fleet's restore discipline, with each worker
+        // caching one machine per image variant. The wave is small
+        // (`wave_size` devices), so holding its `DeviceResult`s for the
+        // review pass keeps memory bounded by the wave, not the fleet.
+        let (wave_results, aggs, pool) = run_indexed(
             spec.jobs,
             &items,
-            || {
-                (
-                    HashMap::<bool, (Mcu, App)>::new(),
-                    FleetAgg::new(),
-                    sink.claim(),
-                )
-            },
+            || ([None::<(Mcu, App)>, None], FleetAgg::new(), sink.claim()),
             |(cache, agg, shard), _, &(device, received)| {
-                let r = run_ota_device(spec, &plan, cache, device, received);
+                let variant = received as usize;
+                let (mcu, app) = cache[variant].get_or_insert_with(|| {
+                    let mut mcu = Mcu::new(Supply::continuous());
+                    let (app, _) = ota_update::build(&mut mcu, &plan.cfgs[variant]);
+                    (mcu, app)
+                });
+                let r = run_device(spec, mcu, app, &plan.snaps[variant], device);
                 agg.observe(&r);
-                sink.write(*shard, device as u64, &r.record_line());
+                sink.write(*shard, &r);
                 if let Some(p) = progress {
                     p.add(1);
                 }
@@ -515,11 +371,9 @@ pub fn run_rollout_streamed(
             },
             |(_, agg, _)| agg,
         );
-        let wave_stream = sink
-            .merge_into(out)
-            .map_err(|e| format!("stream merge into {}: {e}", out.path()))?;
-        stream.records += wave_stream.records;
-        stream.shards = stream.shards.max(wave_stream.shards);
+        let wave_stream = sink.merge_into(stream.as_deref_mut())?;
+        merged.records += wave_stream.records;
+        merged.shards = merged.shards.max(wave_stream.shards);
         for worker in &aggs {
             agg.merge(worker);
         }
@@ -539,24 +393,25 @@ pub fn run_rollout_streamed(
     }
     stats.aborted = aborted;
 
-    if let Some(p) = progress {
-        p.begin_phase("reconcile", 1);
-    }
-    let gateway = reconcile_logs(
-        packets.iter().map(|(d, p)| (*d, p.as_slice())),
-        &spec.medium,
-    );
-    if let Some(p) = progress {
-        p.add(1);
-    }
-    Ok(StreamedRolloutOutcome {
+    let gateway = reconcile_phase(&packets, spec, progress);
+    Ok(RolloutOutcome {
         agg,
         gateway,
         pool: pool_total.expect("at least one wave ran"),
-        stream,
+        stream: merged,
         stats,
         first_violation,
     })
+}
+
+/// [`run_rollout`] with its device records streamed into `out`.
+pub fn run_rollout_streamed(
+    spec: &ScenarioSpec,
+    policy: &RolloutPolicy,
+    out: &mut JsonlWriter,
+    progress: Option<&Progress>,
+) -> Result<StreamedRolloutOutcome, String> {
+    run_rollout(spec, policy, Some(out), progress)
 }
 
 /// Folds one wave's pool record into the running total: wall-clock sums,
@@ -620,7 +475,7 @@ mod tests {
             wave_size: 7,
             ..RolloutPolicy::default()
         };
-        let r = run_rollout(&spec, &policy).unwrap();
+        let r = run_rollout(&spec, &policy, None, None).unwrap();
         let s = &r.stats;
         assert_eq!(s.waves, 4);
         assert_eq!(s.waves_rolled_out, 4);
@@ -630,18 +485,15 @@ mod tests {
         assert_eq!(s.duplicate_activations, 0);
         assert_eq!(s.version_torn, 0);
         assert!(r.first_violation.is_none());
-        assert_eq!(r.fleet.results.len(), 24);
-        // Device order is the merge order regardless of wave boundaries.
-        for (i, d) in r.fleet.results.iter().enumerate() {
-            assert_eq!(d.device, i as u32);
-        }
+        assert_eq!(r.agg.devices(), 24);
+        assert_eq!(r.stream, StreamStats::default(), "no stream, no shards");
     }
 
     #[test]
     fn lossy_downlinks_leave_stragglers_on_the_factory_image() {
         let mut spec = rollout_spec(32, KernelKind::EaseIo);
         spec.medium = MediumSpec::lossy(9, 400);
-        let r = run_rollout(&spec, &RolloutPolicy::default()).unwrap();
+        let r = run_rollout(&spec, &RolloutPolicy::default(), None, None).unwrap();
         let s = &r.stats;
         assert!(s.stragglers > 0, "40% chunk loss must strand someone");
         assert!(s.updated > 0, "retries must get someone through");
@@ -666,17 +518,19 @@ mod tests {
                 ..RolloutPolicy::default()
             },
         ] {
-            assert!(run_rollout(&spec, &policy).is_err());
+            assert!(run_rollout(&spec, &policy, None, None).is_err());
         }
         assert!(run_rollout(
             &rollout_spec(0, KernelKind::EaseIo),
-            &RolloutPolicy::default()
+            &RolloutPolicy::default(),
+            None,
+            None
         )
         .is_err());
     }
 
     #[test]
-    fn streamed_rollout_matches_in_memory_across_waves() {
+    fn rollout_with_stream_matches_without_across_waves() {
         let dir = std::env::temp_dir().join("easeio-fleet-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir
@@ -688,24 +542,40 @@ mod tests {
             wave_size: 6,
             ..RolloutPolicy::default()
         };
-        let mem = run_rollout(&spec, &policy).unwrap();
+        let bare = run_rollout(&spec, &policy, None, None).unwrap();
+        assert!(!bare.stats.aborted);
         let mut spec3 = spec.clone();
         spec3.jobs = 3;
         let mut out = JsonlWriter::create(&path).unwrap();
-        let streamed = run_rollout_streamed(&spec3, &policy, &mut out, None).unwrap();
+        let streamed = run_rollout(&spec3, &policy, Some(&mut out), None).unwrap();
         drop(out);
-        assert_eq!(streamed.gateway, mem.fleet.gateway);
-        assert_eq!(streamed.stats.updated, mem.stats.updated);
-        assert_eq!(streamed.stats.waves_rolled_out, mem.stats.waves_rolled_out);
-        assert_eq!(streamed.first_violation, mem.first_violation);
+        assert_eq!(streamed.gateway, bare.gateway);
+        assert_eq!(streamed.stats.updated, bare.stats.updated);
+        assert_eq!(streamed.stats.waves_rolled_out, bare.stats.waves_rolled_out);
+        assert_eq!(streamed.first_violation, bare.first_violation);
+        assert_eq!(streamed.agg.outcomes(), bare.agg.outcomes());
         assert_eq!(streamed.stream.records, 20);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let expected: String = mem
-            .fleet
-            .results
+        // The expected records: each device through `run_device` on the
+        // image variant its downlink delivered.
+        let plan = plan_rollout(&spec, &policy).unwrap();
+        let mut variants: Vec<(Mcu, App)> = plan
+            .cfgs
             .iter()
-            .map(|r| r.record_line() + "\n")
+            .map(|cfg| {
+                let mut mcu = Mcu::new(Supply::continuous());
+                let (app, _) = ota_update::build(&mut mcu, cfg);
+                (mcu, app)
+            })
             .collect();
+        let expected: String = (0..spec.count)
+            .map(|device| {
+                let v =
+                    downlink(&spec.medium, device, plan.chunks, plan.attempts).received as usize;
+                let (mcu, app) = &mut variants[v];
+                run_device(&spec, mcu, app, &plan.snaps[v], device).record_line() + "\n"
+            })
+            .collect();
+        let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text, expected, "waves concatenate in device order");
         let _ = std::fs::remove_file(&path);
     }

@@ -3,20 +3,17 @@
 //! [`FleetAgg`] is the single definition of "what a fleet report counts":
 //! outcome tallies, the fleet-wide energy ledger, power-failure totals, and
 //! distribution sketches over per-device wall-clock, on-time, and energy.
-//! Both execution paths build their report through it —
-//!
-//! * the in-memory path folds the device-ordered `Vec<DeviceResult>`
-//!   through [`FleetAgg::observe`];
-//! * the streamed path gives every pool worker its own `FleetAgg`, folds
-//!   each device in as it completes, and [`FleetAgg::merge`]s the
-//!   per-worker aggregates afterwards.
+//! The fleet and rollout engines ([`crate::run_fleet`],
+//! [`crate::run_rollout`]) give every pool worker its own `FleetAgg`, fold
+//! each device in through [`FleetAgg::observe`] as it completes, and
+//! [`FleetAgg::merge`] the per-worker aggregates afterwards.
 //!
 //! Every fold operation here is commutative and associative — u64 sums,
 //! counter increments, sketch bucket adds, max — so the merged aggregate
 //! is independent of which worker ran which device. That is the property
-//! that makes the streamed report byte-identical to the in-memory one at
-//! any `--jobs` width, while holding O(workers) memory instead of
-//! O(devices).
+//! that makes the report byte-identical at any `--jobs` width (and equal
+//! to a serial fold of the device-ordered results), while holding
+//! O(workers) memory instead of O(devices).
 
 use crate::DeviceResult;
 use easeio_trace::fleet::{FleetEnergyDoc, FleetOutcomesDoc, FleetStragglerDoc};
@@ -68,7 +65,7 @@ impl FleetAgg {
         self.device_energy.record(device_energy);
     }
 
-    /// Folds another aggregate in (the streamed path's per-worker merge).
+    /// Folds another aggregate in (the engines' per-worker merge).
     pub fn merge(&mut self, other: &FleetAgg) {
         let o = &other.outcomes;
         self.outcomes.completed += o.completed;

@@ -2,15 +2,15 @@
 //!
 //! 1. **N = 1 ≡ single run** — a 1-device fleet must reproduce the plain
 //!    single-device harness run at the same seed exactly, for any app ×
-//!    kernel × fault-rate draw. This is what licenses `SimConfig` (and its
-//!    deprecated shim) to be *defined* as the `count == 1` special case of
+//!    kernel × fault-rate draw. This is what licenses a single-device
+//!    simulation to be *defined* as the `count == 1` special case of
 //!    [`ScenarioSpec`].
 //! 2. **Jobs-width identity** — a seeded 256-device fleet's report is
 //!    byte-identical at `--jobs` 1, 4 and 8 once host timing is stripped
 //!    (`identity_document`), the property the CI fleet smoke gate enforces.
 
 use easeio_exec::{AppSpec, DeviceSpec, ScenarioSpec, SupplySpec};
-use easeio_fleet::run_fleet;
+use easeio_fleet::{run_device, run_fleet, FleetAgg};
 use easeio_trace::envelope::identity_document;
 use easeio_trace::fleet::build_fleet_report;
 use kernel::{FaultSpec, KernelKind};
@@ -27,7 +27,8 @@ proptest! {
 
     /// Anchor 1: device 0 of any fleet is *the* single-device run — same
     /// outcome, verdict, clocks, energy attribution, and reboot count as
-    /// `apps::harness::run_once_faulted` with the same seed.
+    /// `apps::harness::run_once_faulted` with the same seed — and the
+    /// engine's N = 1 aggregate is exactly that device folded in.
     #[test]
     fn one_device_fleet_reproduces_the_single_run(
         app_i in 0usize..PROPTEST_APPS.len(),
@@ -52,9 +53,11 @@ proptest! {
             ..ScenarioSpec::default()
         };
 
-        let fleet = run_fleet(&spec).unwrap();
-        prop_assert_eq!(fleet.results.len(), 1);
-        let d = &fleet.results[0];
+        // Device 0 through the per-device function the engine calls.
+        let mut mcu = mcu_emu::Mcu::new(mcu_emu::Supply::continuous());
+        let app = spec.build_app(&mut mcu).unwrap();
+        let snap = mcu.snapshot();
+        let d = &run_device(&spec, &mut mcu, &app, &snap, 0);
 
         let builder = |mcu: &mut mcu_emu::Mcu| spec.build_app(mcu).unwrap();
         let single = apps::harness::run_once_faulted(
@@ -73,6 +76,15 @@ proptest! {
         prop_assert_eq!(d.stats.total_energy_nj(), single.stats.total_energy_nj());
         prop_assert_eq!(d.stats.cause_energy_nj, single.stats.cause_energy_nj);
         prop_assert_eq!(d.stats.power_failures, single.stats.power_failures);
+
+        let fleet = run_fleet(&spec, None, None).unwrap();
+        let mut agg = FleetAgg::new();
+        agg.observe(d);
+        prop_assert_eq!(fleet.agg.outcomes(), agg.outcomes());
+        prop_assert_eq!(fleet.agg.energy(), agg.energy());
+        prop_assert_eq!(fleet.agg.stragglers(), agg.stragglers());
+        prop_assert_eq!(fleet.agg.power_failures(), agg.power_failures());
+        prop_assert_eq!(&fleet.packets, &vec![(0, d.packets.clone())]);
     }
 }
 
@@ -98,12 +110,12 @@ fn fleet_256(jobs: usize) -> ScenarioSpec {
 fn report_is_byte_identical_across_jobs_widths() {
     let reference = {
         let spec = fleet_256(1);
-        let fleet = run_fleet(&spec).unwrap();
+        let fleet = run_fleet(&spec, None, None).unwrap();
         identity_document(&build_fleet_report(&fleet.report_inputs(&spec))).to_pretty()
     };
     for jobs in [4, 8] {
         let spec = fleet_256(jobs);
-        let fleet = run_fleet(&spec).unwrap();
+        let fleet = run_fleet(&spec, None, None).unwrap();
         let doc = identity_document(&build_fleet_report(&fleet.report_inputs(&spec))).to_pretty();
         assert_eq!(doc, reference, "jobs={jobs} diverged from the serial run");
     }
@@ -116,7 +128,7 @@ fn report_is_byte_identical_across_jobs_widths() {
 #[test]
 fn easeio_fleet_has_no_air_duplicates_and_naive_pins_them() {
     let spec = fleet_256(4);
-    let fleet = run_fleet(&spec).unwrap();
+    let fleet = run_fleet(&spec, None, None).unwrap();
     assert_eq!(
         fleet.gateway.air_duplicates, 0,
         "EaseIO leaked duplicate transmissions: {:?}",
@@ -131,7 +143,7 @@ fn easeio_fleet_has_no_air_duplicates_and_naive_pins_them() {
         },
         ..fleet_256(4)
     };
-    let fleet = run_fleet(&naive).unwrap();
+    let fleet = run_fleet(&naive, None, None).unwrap();
     assert!(
         fleet.gateway.air_duplicates > 0,
         "the Naive baseline should retransmit across reboots: {:?}",

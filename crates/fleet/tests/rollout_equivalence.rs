@@ -10,7 +10,7 @@
 
 use apps::ota_update::{self, OtaUpdateCfg};
 use easeio_exec::{AppSpec, DeviceSpec, ScenarioSpec, SupplySpec};
-use easeio_fleet::{run_rollout, RolloutPolicy};
+use easeio_fleet::{run_device, run_rollout, FleetAgg, RolloutPolicy};
 use easeio_trace::envelope::identity_document;
 use easeio_trace::fleet::build_fleet_report;
 use kernel::{FaultSpec, KernelKind};
@@ -38,7 +38,8 @@ proptest! {
 
     /// Anchor 1: a 1-device rollout over a lossless medium is the single
     /// staged update — same outcome, verdict, clocks, energy attribution,
-    /// and reboot count as running the OTA app directly at the same seed.
+    /// and reboot count as running the OTA app directly at the same seed —
+    /// and the engine's N = 1 aggregate is exactly that device folded in.
     #[test]
     fn one_device_rollout_reproduces_the_single_staged_update(
         kernel_i in 0usize..PROPTEST_KERNELS.len(),
@@ -58,17 +59,21 @@ proptest! {
         spec.supply = [SupplySpec::Timer, SupplySpec::Continuous][supply_i];
         let policy = RolloutPolicy::default();
 
-        let r = run_rollout(&spec, &policy).unwrap();
-        prop_assert_eq!(r.fleet.results.len(), 1);
+        let r = run_rollout(&spec, &policy, None, None).unwrap();
         prop_assert_eq!(r.stats.offered, 1);
         prop_assert_eq!(r.stats.stragglers + r.stats.stale, 0);
-        let d = &r.fleet.results[0];
 
         let cfg = OtaUpdateCfg {
             target_seq: policy.target_seq,
             two_phase: kernel.two_phase_update(),
             ..OtaUpdateCfg::default()
         };
+        // Device 0 through the per-device function the engine calls, on
+        // the received-image variant.
+        let mut mcu = mcu_emu::Mcu::new(mcu_emu::Supply::continuous());
+        let (app, _) = ota_update::build(&mut mcu, &cfg);
+        let snap = mcu.snapshot();
+        let d = &run_device(&spec, &mut mcu, &app, &snap, 0);
         let builder = |mcu: &mut mcu_emu::Mcu| ota_update::build(mcu, &cfg).0;
         let single = apps::harness::run_once_faulted(
             &builder,
@@ -86,6 +91,13 @@ proptest! {
         prop_assert_eq!(d.stats.total_energy_nj(), single.stats.total_energy_nj());
         prop_assert_eq!(d.stats.cause_energy_nj, single.stats.cause_energy_nj);
         prop_assert_eq!(d.stats.power_failures, single.stats.power_failures);
+
+        let mut agg = FleetAgg::new();
+        agg.observe(d);
+        prop_assert_eq!(r.agg.outcomes(), agg.outcomes());
+        prop_assert_eq!(r.agg.energy(), agg.energy());
+        prop_assert_eq!(r.agg.stragglers(), agg.stragglers());
+        prop_assert_eq!(r.agg.power_failures(), agg.power_failures());
     }
 }
 
@@ -109,7 +121,7 @@ proptest! {
             let mut spec = rollout_spec(40, KernelKind::EaseIo, seed);
             spec.medium = MediumSpec::lossy(seed ^ 0x77, loss);
             spec.jobs = jobs;
-            let r = run_rollout(&spec, &policy).unwrap();
+            let r = run_rollout(&spec, &policy, None, None).unwrap();
             (
                 identity_document(&build_fleet_report(&r.report_inputs(&spec))).to_pretty(),
                 r.stats,

@@ -192,11 +192,19 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Parses a JSON document. Errors carry a byte offset and message.
+/// Deepest array/object nesting [`parse`] accepts. Every document this
+/// crate writes nests fewer than ten levels; the limit keeps hostile input
+/// from overflowing the parser's (and the validators') recursion.
+const MAX_DEPTH: usize = 128;
+
+/// Parses a JSON document. Errors carry a byte offset and message;
+/// nesting deeper than 128 arrays/objects is an error, not a stack
+/// overflow.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -210,6 +218,8 @@ pub fn parse(input: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -251,11 +261,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte at {}", self.pos)),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing past `MAX_DEPTH`.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, String> {
@@ -408,6 +432,21 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("\"open").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let at_limit = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&at_limit).is_ok());
+        let over = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert!(parse(&over).unwrap_err().contains("nesting deeper than"));
+        // Far past any stack: 200k levels of arrays and of objects.
+        let deep = "[".repeat(200_000) + &"]".repeat(200_000);
+        assert!(parse(&deep).unwrap_err().contains("nesting deeper than"));
+        let deep_obj = r#"{"a":"#.repeat(200_000) + "1" + &"}".repeat(200_000);
+        assert!(parse(&deep_obj)
+            .unwrap_err()
+            .contains("nesting deeper than"));
     }
 
     #[test]

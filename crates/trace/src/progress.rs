@@ -1,8 +1,9 @@
 //! Live progress/heartbeat channel for long-running sweeps and fleets.
 //!
-//! Engines (`sweep_matrix`, `run_fleet`, `run_rollout`) tick a shared
-//! [`Progress`] from their worker closures — a couple of relaxed atomic
-//! adds per item, nothing on the hot path when no observer is attached.
+//! Engines (`sweep_matrix_observed`, `run_fleet`, `run_rollout`) tick a
+//! shared [`Progress`] from their worker closures — a couple of relaxed
+//! atomic adds per item, nothing on the hot path when no observer is
+//! attached.
 //! The CLI attaches a monitor thread that snapshots the counters about
 //! once a second, prints a heartbeat line to stderr, and optionally
 //! appends a JSONL record per sample to `--progress-out`.

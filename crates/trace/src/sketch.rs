@@ -12,8 +12,8 @@
 //! recorded values, and [`Sketch::merge`] is a bucket-wise sum, which is
 //! commutative and associative. Per-worker sketches merged in *any* order
 //! therefore equal the sketch of the whole population recorded serially —
-//! the property that lets the streamed fleet path reproduce the in-memory
-//! report byte-for-byte at any `--jobs` width.
+//! the property that keeps the fleet report byte-identical at any
+//! `--jobs` width.
 //!
 //! ## Error bound (pinned by proptest in `tests/streaming.rs`)
 //!

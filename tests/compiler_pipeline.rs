@@ -214,6 +214,66 @@ fn compile_errors_are_reported_with_lines() {
     assert!(err.msg.contains("undeclared"));
 }
 
+/// One task that assigns `expr` to `x` inside `ifs` nested `if`s.
+fn nested_program(ifs: usize, expr: &str) -> String {
+    format!(
+        "__nv int x;\ntask t {{\n{}x = {expr};\n{}done;\n}}\n",
+        "if (x < 1) { ".repeat(ifs),
+        "} ".repeat(ifs)
+    )
+}
+
+/// Expression shapes that nest `k` levels: parentheses, a left-deep
+/// operator chain (built by a loop, not by recursion), and unary minus.
+fn parens(k: usize) -> String {
+    "(".repeat(k) + "1" + &")".repeat(k)
+}
+fn chain(k: usize) -> String {
+    vec!["1"; k + 1].join(" + ")
+}
+fn negations(k: usize) -> String {
+    "-".repeat(k) + "1"
+}
+
+#[test]
+fn hostile_nesting_is_a_compile_error_not_a_stack_overflow() {
+    let n = 100_000;
+    for src in [
+        nested_program(0, &parens(n)),
+        nested_program(0, &chain(n)),
+        nested_program(0, &negations(n)),
+        nested_program(n, "1"),
+    ] {
+        let mut mcu = Mcu::new(Supply::continuous());
+        let err = easec::compile(&src, &mut mcu).unwrap_err();
+        assert_eq!(err.line, 3, "{err}");
+        assert!(err.msg.contains("nesting deeper than"), "{err}");
+    }
+}
+
+#[test]
+fn the_deepest_accepted_programs_compile_and_run() {
+    // Every shape at the deepest nesting the parser accepts, under few or
+    // many enclosing statements, must get through analysis, lowering and
+    // the interpreter on a test thread's stack.
+    let max = easec::parser::MAX_NESTING;
+    for ifs in [0, max / 2, max - 2] {
+        for shape in [parens, chain, negations] {
+            let k = (0..)
+                .take_while(|&k| easec::parse(&nested_program(ifs, &shape(k))).is_ok())
+                .last()
+                .expect("a plain literal always parses");
+            if ifs == 0 {
+                assert!(k >= max / 2, "only {k} levels accepted");
+            }
+            let src = nested_program(ifs, &shape(k));
+            let (mcu, _, c, r) = run_compiled(&src, RuntimeKind::EaseIo, Supply::continuous(), 1);
+            assert_eq!(r.outcome, Outcome::Completed, "ifs={ifs} k={k}");
+            assert_ne!(c.vars["x"].get(&mcu.mem), 0, "ifs={ifs} k={k}");
+        }
+    }
+}
+
 #[test]
 fn artifact_temp_demo_runs_from_its_eio_source() {
     // The artifact appendix's benchmark, shipped as a program file.

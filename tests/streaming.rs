@@ -6,8 +6,8 @@
 //!   `quantile(q) ≤ exact ≤ quantile(q) + quantile(q)/32`, where `exact`
 //!   is [`agg::percentile`] over the sorted population at the same
 //!   floor-index rank. This is the bound the fleet report's straggler
-//!   percentiles inherit when the streamed path replaces the
-//!   whole-population vector.
+//!   percentiles inherit from the fleet engine's per-worker sketches in
+//!   place of a whole-population vector.
 //! * **Exact extremes** — `quantile(0)` is the exact minimum and
 //!   `quantile(100)` the exact maximum; both are tracked outside the
 //!   buckets, so the report's min/max columns carry no sketch error.
