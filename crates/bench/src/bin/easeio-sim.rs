@@ -134,7 +134,7 @@ use easeio_trace::{
     validate_metrics_report, CounterTrack, Event, EventKind, FaultSpecDoc, FleetInputs,
     ForensicsInputs, ForensicsViolationDoc, FramDiffByte, FramDiffDoc, InstantKind, JsonlWriter,
     MetricsEntry, MetricsInputs, Progress, ReportInputs, SiteWasteRow, SkippedApp, SpanKind,
-    SweepInputs, SweepPruneDoc, SweepTimingDoc, SweepViolation, SweepWasteDoc, TaskWasteRow, Value,
+    SweepInputs, SweepTimingDoc, SweepViolation, SweepWasteDoc, TaskWasteRow, Value,
     CATEGORY_NAMES,
 };
 use kernel::{App, Fault, FaultSpec, Outcome, Verdict};
@@ -1024,13 +1024,7 @@ fn sweep_report_inputs(
             merge_us: timing.merge_us,
             injections_per_worker: timing.injections_per_worker.clone(),
             busy_us_per_worker: timing.busy_us_per_worker.clone(),
-            prune: Some(SweepPruneDoc {
-                enabled: timing.prune.enabled,
-                injections_executed: timing.prune.injections_executed,
-                injections_pruned: timing.prune.injections_pruned,
-                classes: timing.prune.classes,
-                time_observed: timing.prune.time_observed,
-            }),
+            prune: Some(timing.prune.clone()),
         }),
     }
 }
@@ -1181,7 +1175,7 @@ fn sweep_main() -> ! {
         };
         println!(
             "sweep: {} under {} — {} boundaries, {} injections ({}), seed {}, outage {} µs{}{}, \
-             {} job(s), {:.2} ms wall ({} inj/s), {} run / {} pruned",
+             {} job(s), {:.2} ms wall ({} inj/s), {} run / {} pruned, {} resumed / {} cut",
             out.app,
             out.runtime,
             out.oracle_boundaries,
@@ -1207,6 +1201,8 @@ fn sweep_main() -> ! {
                 .unwrap_or_else(|| "unmeasured".into()),
             timing.prune.injections_executed,
             timing.prune.injections_pruned,
+            timing.prune.resumed,
+            timing.prune.cut,
         );
         for v in &out.violations {
             println!(
@@ -1254,12 +1250,21 @@ fn sweep_main() -> ! {
                 Value::u64(timing.prune.injections_pruned),
             ),
             ("violations".into(), Value::u64(out.violations.len() as u64)),
-            ("wall_us".into(), Value::u64(timing.wall_us)),
+            ("checkpoints".into(), Value::u64(timing.prune.checkpoints)),
+            ("resumed".into(), Value::u64(timing.prune.resumed)),
+            ("cut".into(), Value::u64(timing.prune.cut)),
+            (
+                "slices_executed".into(),
+                Value::u64(timing.prune.slices_executed),
+            ),
+            // Summed worker busy time on this app's batches, not elapsed
+            // time: apps share one pool, so their spans overlap.
+            ("busy_us".into(), Value::u64(timing.wall_us)),
         ];
         if let Some(rate) = timing.injections_per_sec_milli {
             entry.push(("injections_per_sec_milli".into(), Value::u64(rate)));
         }
-        // Per-app wall sums worker busy spans, which preemption inflates
+        // Per-app times sum worker busy spans, which preemption inflates
         // when workers outnumber cores — so the honest speedup (elapsed vs
         // elapsed) is reported only at the matrix level, never per app.
         if let Some(serial) = serial_wall_us {
@@ -1367,8 +1372,10 @@ fn sweep_main() -> ! {
     }
 
     if let Some(path) = &args.bench_out {
+        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
         let mut fields = vec![
             ("tool".into(), Value::str("easeio-sim sweep")),
+            ("nproc".into(), Value::u64(nproc as u64)),
             ("jobs".into(), Value::u64(sc.jobs as u64)),
             ("mode".into(), Value::str(mode.name())),
             ("seed".into(), Value::u64(sc.seed)),

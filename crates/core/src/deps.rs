@@ -11,7 +11,7 @@
 use std::collections::HashSet;
 
 /// Execution record of the current attempt.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DepTracker {
     executed: HashSet<u16>,
 }

@@ -27,13 +27,21 @@
 //! built — including the allocator cursors, so runtime-allocated control
 //! blocks land at identical addresses — which makes any violation
 //! reproducible from (app, runtime, seed, boundary index) alone.
+//! [`sweep`] runs each injection from time zero; the parallel engine's
+//! pruned path uses [`run_injected`], which resumes from the reference
+//! run's task-commit checkpoints and stops once the state re-converges,
+//! with records equal to the full runs'.
 //!
 //! Exhaustive below a threshold; above it, boundaries are sampled without
 //! replacement from a seeded [`StdRng`].
 
 use apps::harness::{MakeRuntime, RuntimeKind};
-use kernel::{run_app, App, ExecConfig, FaultSpec, Outcome, Verdict};
-use mcu_emu::{AllocTag, Mcu, McuSnapshot, Region, SpendBoundary, Supply, CAUSE_COUNT};
+use kernel::{
+    finish, resume, run_app, App, ExecConfig, ExecState, FaultSpec, Flow, Outcome, Runtime, Verdict,
+};
+use mcu_emu::{
+    AllocTag, Mcu, McuCheckpoint, McuSnapshot, Region, RunStats, SpendBoundary, Supply, CAUSE_COUNT,
+};
 use periph::Peripherals;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -296,31 +304,59 @@ pub fn run_from(
     env_seed: u64,
     fault: &FaultSpec,
 ) -> RunRecord {
-    mcu.restore(snap);
+    let (mut periph, mut rt) = fresh_start(kind, mcu, snap, env_seed, fault);
     mcu.supply = supply;
+    let r = run_app(app, rt.as_mut(), mcu, &mut periph, &exec_config(fault));
+    record_of(r.outcome, r.verdict, &r.stats, app_fram(mcu))
+}
+
+/// The start of every run from the snapshot: restored machine, fresh
+/// peripherals seeded from `env_seed` with `fault`'s plan installed, fresh
+/// runtime.
+fn fresh_start(
+    kind: RuntimeKind,
+    mcu: &mut Mcu,
+    snap: &McuSnapshot,
+    env_seed: u64,
+    fault: &FaultSpec,
+) -> (Peripherals, Box<dyn Runtime>) {
+    mcu.restore(snap);
     let mut periph = Peripherals::new(env_seed);
     fault.apply(&mut periph);
-    let mut rt = kind.make();
-    let cfg = ExecConfig {
+    (periph, kind.make())
+}
+
+/// The executor configuration of every sweep run under `fault`.
+fn exec_config(fault: &FaultSpec) -> ExecConfig {
+    ExecConfig {
         retry: fault.retry,
         ..ExecConfig::default()
-    };
-    let r = run_app(app, rt.as_mut(), mcu, &mut periph, &cfg);
+    }
+}
+
+/// The [`RunRecord`] of a run that ended with `outcome`, `verdict`, ledger
+/// `stats` and app-tagged FRAM `fram`.
+fn record_of(
+    outcome: Outcome,
+    verdict: Option<Verdict>,
+    stats: &RunStats,
+    fram: Vec<u8>,
+) -> RunRecord {
     RunRecord {
-        outcome: r.outcome,
-        verdict: r.verdict,
-        boundaries: r.stats.boundaries,
-        single_redundant: r.stats.counter("probe_single_redundant"),
-        timely_stale: r.stats.counter("probe_timely_stale"),
-        commit_overpriced: r.stats.counter("probe_commit_overpriced"),
-        retry_duplicated_effect: r.stats.counter("probe_retry_duplicated_effect"),
-        degraded_staleness_exceeded: r.stats.counter("probe_degraded_staleness_exceeded"),
-        version_torn: r.stats.counter("probe_version_torn"),
-        cause_energy_nj: r.stats.cause_energy_nj,
-        total_energy_nj: r.stats.app_energy_nj + r.stats.overhead_energy_nj,
-        waste_nj: r.stats.waste_energy_nj(),
-        attribution_balanced: r.stats.attribution_balanced(),
-        fram: app_fram(mcu),
+        outcome,
+        verdict,
+        boundaries: stats.boundaries,
+        single_redundant: stats.counter("probe_single_redundant"),
+        timely_stale: stats.counter("probe_timely_stale"),
+        commit_overpriced: stats.counter("probe_commit_overpriced"),
+        retry_duplicated_effect: stats.counter("probe_retry_duplicated_effect"),
+        degraded_staleness_exceeded: stats.counter("probe_degraded_staleness_exceeded"),
+        version_torn: stats.counter("probe_version_torn"),
+        cause_energy_nj: stats.cause_energy_nj,
+        total_energy_nj: stats.app_energy_nj + stats.overhead_energy_nj,
+        waste_nj: stats.waste_energy_nj(),
+        attribution_balanced: stats.attribution_balanced(),
+        fram,
     }
 }
 
@@ -374,17 +410,254 @@ pub fn reference_trace(
     env_seed: u64,
     fault: &FaultSpec,
 ) -> BoundaryTrace {
+    reference_run(app, kind, mcu, snap, env_seed, fault, false).trace
+}
+
+/// The state of the reference run right after one of its task commits:
+/// everything a run needs to resume from there (see [`ReferenceRun`]).
+pub struct CommitCheckpoint {
+    /// Commit index: task commits since the run started (1-based).
+    pub commit: u64,
+    /// Energy-spend boundaries crossed before the checkpoint — the preset
+    /// of a resumed run's injection supply.
+    pub boundaries: u64,
+    mcu: McuCheckpoint,
+    periph: Peripherals,
+    rt: Box<dyn Runtime>,
+    exec: ExecState,
+}
+
+/// The sweep's reference run ([`reference_trace`]) with the state it
+/// passed through at each task commit and the record it ended with.
+///
+/// A task commit is the one point where a run can be resumed exactly: a
+/// task body is a host closure, so a run interrupted inside one cannot be
+/// re-entered mid-body, but between tasks the whole state is the machine,
+/// the peripherals, the runtime's host tables and the executor's
+/// [`ExecState`] — all plain data, all cloned here. An injected run at
+/// boundary `b` equals this run up to `b`, so it can start from the last
+/// checkpoint at or before `b` ([`run_injected`]).
+pub struct ReferenceRun {
+    /// The per-boundary trace.
+    pub trace: BoundaryTrace,
+    /// One checkpoint per task commit except the final one, in order
+    /// (empty unless requested).
+    pub checkpoints: Vec<CommitCheckpoint>,
+    /// `stats.task_commits` when the run started.
+    start_commits: u64,
+    /// The run's final ledger.
+    stats: RunStats,
+    outcome: Outcome,
+    verdict: Option<Verdict>,
+    fram: Vec<u8>,
+}
+
+impl ReferenceRun {
+    /// The last checkpoint at or before `boundary`, if any.
+    fn checkpoint_before(&self, boundary: u64) -> Option<&CommitCheckpoint> {
+        let n = self
+            .checkpoints
+            .partition_point(|c| c.boundaries <= boundary);
+        n.checked_sub(1).map(|i| &self.checkpoints[i])
+    }
+
+    /// The checkpoint at commit index `commit`, if one was taken.
+    fn checkpoint_at(&self, commit: u64) -> Option<&CommitCheckpoint> {
+        self.checkpoints.get(commit.checked_sub(1)? as usize)
+    }
+
+    /// The record of a run that converged with this one at checkpoint
+    /// `ck`, where its ledger was `stats`: the continuation is this run's,
+    /// so outcome, verdict and final FRAM are copied and the ledger is
+    /// carried over by the additive shift.
+    fn record_after_cut(&self, ck: &CommitCheckpoint, stats: &RunStats) -> RunRecord {
+        let stats = self.stats.rebased(ck.mcu.stats(), stats);
+        record_of(
+            self.outcome,
+            self.verdict.clone(),
+            &stats,
+            self.fram.clone(),
+        )
+    }
+}
+
+/// The reference run behind [`reference_trace`], optionally capturing a
+/// [`CommitCheckpoint`] after every task commit but the last. Memory is
+/// checkpointed as page deltas against `snap`, consecutive checkpoints
+/// sharing unchanged pages.
+pub fn reference_run(
+    app: &App,
+    kind: RuntimeKind,
+    mcu: &mut Mcu,
+    snap: &McuSnapshot,
+    env_seed: u64,
+    fault: &FaultSpec,
+    checkpoints: bool,
+) -> ReferenceRun {
     let mut tracked = PROBE_COUNTERS.to_vec();
     tracked.extend(UPDATE_WINDOW_COUNTERS);
     mcu.record_boundaries(tracked);
-    let _ = run_from(app, kind, mcu, snap, Supply::continuous(), env_seed, fault);
+    let (mut periph, mut rt) = fresh_start(kind, mcu, snap, env_seed, fault);
+    mcu.supply = Supply::continuous();
+    let (start_commits, start_boundaries) = (mcu.stats.task_commits, mcu.stats.boundaries);
+    let mut st = ExecState::new(app, mcu);
+    let mut cks: Vec<CommitCheckpoint> = Vec::new();
+    resume(
+        app,
+        rt.as_mut(),
+        mcu,
+        &mut periph,
+        &exec_config(fault),
+        &mut st,
+        &mut |st, m, p, rt| {
+            if checkpoints && st.outcome().is_none() {
+                let ck = CommitCheckpoint {
+                    commit: m.stats.task_commits - start_commits,
+                    boundaries: m.stats.boundaries - start_boundaries,
+                    mcu: m.checkpoint(snap, cks.last().map(|c| &c.mcu)),
+                    periph: p.clone(),
+                    rt: rt.clone_box(),
+                    exec: st.clone(),
+                };
+                cks.push(ck);
+            }
+            Flow::Continue
+        },
+    );
+    let r = finish(app, mcu, &periph, &st);
     let (slices, time_observed) = mcu
         .take_boundary_recording()
         .expect("recorder was installed above");
-    BoundaryTrace {
-        slices,
-        time_observed,
+    ReferenceRun {
+        trace: BoundaryTrace {
+            slices,
+            time_observed,
+        },
+        checkpoints: cks,
+        start_commits,
+        stats: r.stats,
+        outcome: r.outcome,
+        verdict: r.verdict,
+        fram: app_fram(mcu),
     }
+}
+
+/// Whether a run paused right after a task commit holds the same state as
+/// the reference run at checkpoint `ck`, modulo the clock: the executor
+/// state (execution pointer, next task, attempt count, activation tracker),
+/// the runtime's host tables, the peripherals (environment, radio log,
+/// fault-plan attempt counters) and all three memory regions with the
+/// allocator cursors and records. Timestamps the run holds (tracker last
+/// values, radio send times) must equal the reference's either unshifted
+/// or shifted by exactly the clock difference. The ledger is not compared:
+/// every `RunStats` field is additive and no execution path reads one.
+pub fn converged(
+    snap: &McuSnapshot,
+    ck: &CommitCheckpoint,
+    exec: &ExecState,
+    mcu: &Mcu,
+    periph: &Peripherals,
+    rt: &dyn Runtime,
+) -> bool {
+    let Some(shift) = mcu.now_us().checked_sub(ck.mcu.now_us()) else {
+        return false;
+    };
+    exec.matches_shifted(&ck.exec, shift)
+        && rt.same_state(ck.rt.as_ref())
+        && periph.matches_shifted(&ck.periph, shift)
+        && mcu.memory_matches(snap, &ck.mcu)
+}
+
+/// How one executed injection was simulated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InjectionPath {
+    /// Commit index of the checkpoint the run resumed from; 0 when it ran
+    /// from time zero.
+    pub resumed_from: u64,
+    /// Commit index at which the run was cut because it converged with the
+    /// reference run, if it was.
+    pub cut_at: Option<u64>,
+    /// Energy-spend slices actually simulated.
+    pub slices: u64,
+}
+
+/// The injected run at `boundary`, simulated only where it can differ from
+/// `reference`: it resumes from the last checkpoint at or before `boundary`
+/// and, after the failure fired, stops at the first task commit where it
+/// has [`converged`] with the reference run's checkpoint of the same commit
+/// index. The rest of the record then comes from the reference run by the
+/// additive shift. A time-observing reference is never cut: there, equal
+/// state does not imply an equal continuation at a shifted clock.
+///
+/// The record equals [`run_from`]'s at the same boundary field for field.
+pub fn run_injected(
+    app: &App,
+    kind: RuntimeKind,
+    mcu: &mut Mcu,
+    snap: &McuSnapshot,
+    reference: &ReferenceRun,
+    boundary: u64,
+    plan: &SweepPlan,
+) -> (RunRecord, InjectionPath) {
+    let (mut periph, mut rt, mut st, resumed_from, seen) =
+        match reference.checkpoint_before(boundary) {
+            Some(ck) => {
+                mcu.restore_checkpoint(snap, &ck.mcu);
+                let rt = ck.rt.clone_box();
+                (
+                    ck.periph.clone(),
+                    rt,
+                    ck.exec.clone(),
+                    ck.commit,
+                    ck.boundaries,
+                )
+            }
+            None => {
+                let (periph, rt) = fresh_start(kind, mcu, snap, plan.env_seed, &plan.fault);
+                (periph, rt, ExecState::new(app, mcu), 0, 0)
+            }
+        };
+    mcu.supply = Supply::injected_after(boundary, plan.off_us, seen);
+    let start = mcu.stats.boundaries;
+    // Resuming from the *last* checkpoint at or before `boundary` means the
+    // failure fires before the next commit completes: every commit the hook
+    // sees comes after the failure.
+    let may_cut = !reference.trace.time_observed;
+    let mut cut = None;
+    resume(
+        app,
+        rt.as_mut(),
+        mcu,
+        &mut periph,
+        &exec_config(&plan.fault),
+        &mut st,
+        &mut |st, m, p, rt| {
+            if !may_cut {
+                return Flow::Continue;
+            }
+            let commit = m.stats.task_commits - reference.start_commits;
+            match reference.checkpoint_at(commit) {
+                Some(ck) if converged(snap, ck, st, m, p, rt) => {
+                    cut = Some(ck);
+                    Flow::Stop
+                }
+                _ => Flow::Continue,
+            }
+        },
+    );
+    let path = InjectionPath {
+        resumed_from,
+        cut_at: cut.map(|ck| ck.commit),
+        slices: mcu.stats.boundaries - start,
+    };
+    let record = match cut {
+        Some(ck) => reference.record_after_cut(ck, &mcu.stats),
+        None => {
+            let r = finish(app, mcu, &periph, &st);
+            record_of(r.outcome, r.verdict, &r.stats, app_fram(mcu))
+        }
+    };
+    (record, path)
 }
 
 /// Restricts `chosen` to the boundaries inside the app's OTA update
@@ -494,7 +767,9 @@ pub fn materialize_record(
         // fires: the run is the reference run, byte for byte.
         return rep.clone();
     };
-    let shift = |total: u64, from: u64, to: u64| total - from + to;
+    // Wrapping: a cause the representative's run reattributed away can end
+    // below its prefix; the shifted total is still exact.
+    let shift = |total: u64, from: u64, to: u64| total.wrapping_sub(from).wrapping_add(to);
     let mut cause_energy_nj = rep.cause_energy_nj;
     for (i, c) in cause_energy_nj.iter_mut().enumerate() {
         *c = shift(*c, rp.cause_energy_nj[i], tp.cause_energy_nj[i]);
@@ -1321,6 +1596,69 @@ mod tests {
         }
     }
 
+    /// Regression: a faulted DMA burst is charged as retry waste even when
+    /// a power failure cuts it short, so *how much* moves to the retry
+    /// ledger depends on which slice the failure hits. Merging the burst's
+    /// slices materialized the partial burst as progress energy instead
+    /// (boundary 41 of this plan, at 1500 nJ); each slice of such a spend
+    /// is now its own class.
+    #[test]
+    fn slices_of_a_reattributed_spend_never_merge() {
+        let build = |m: &mut Mcu| {
+            dma_app::build(
+                m,
+                &dma_app::DmaAppCfg {
+                    bytes: 1024,
+                    chunks: 1,
+                    iterations: 2,
+                    pre_compute: 0,
+                    post_compute: 0,
+                },
+            )
+        };
+        let kind = RuntimeKind::EaseIo;
+        let plan = SweepPlan {
+            fault: FaultSpec::with_rate(77, 150),
+            ..SweepPlan::with_env_seed(5)
+        };
+        let mut mcu = Mcu::new(Supply::continuous());
+        let app = build(&mut mcu);
+        let oracle = prepare_oracle(&build, kind, plan.env_seed);
+        let trace = reference_trace(
+            &app,
+            kind,
+            &mut mcu,
+            &oracle.snapshot,
+            plan.env_seed,
+            &plan.fault,
+        );
+        let chosen = select_boundaries(oracle.boundaries, plan.mode, plan.seed);
+        let classes = classify_boundaries(&chosen, &trace);
+        for (i, &b) in chosen.iter().enumerate() {
+            let rep_b = classes.reps[classes.class_of[i]];
+            let mut run = |b| {
+                run_from(
+                    &app,
+                    kind,
+                    &mut mcu,
+                    &oracle.snapshot,
+                    Supply::injected(b, plan.off_us),
+                    plan.env_seed,
+                    &plan.fault,
+                )
+            };
+            let rep = run(rep_b);
+            let real = run(b);
+            let materialized = materialize_record(&trace, &rep, rep_b, b);
+            assert!(
+                records_equal(&materialized, &real),
+                "boundary {b} (rep {rep_b}): materialized {:?} != real {:?}",
+                materialized.cause_energy_nj,
+                real.cause_energy_nj
+            );
+        }
+    }
+
     /// Pinned case: two boundaries whose restored machine state is
     /// byte-identical but whose *fault-plan position* (the peripheral's
     /// physical attempt counter) differs must never merge. A faulted LEA
@@ -1379,6 +1717,228 @@ mod tests {
             first, last,
             "attempt 0 and attempt 1 differ only in fault-plan position and must not merge"
         );
+    }
+
+    fn multi_iteration_dma(m: &mut Mcu) -> App {
+        dma_app::build(
+            m,
+            &dma_app::DmaAppCfg {
+                bytes: 512,
+                chunks: 2,
+                iterations: 3,
+                pre_compute: 300,
+                post_compute: 200,
+            },
+        )
+    }
+
+    fn small_fir_long(m: &mut Mcu) -> App {
+        apps::fir_long::build(
+            m,
+            &apps::fir_long::FirLongCfg {
+                chunk: 32,
+                taps: 16,
+                rounds: 2,
+                post_cycles: 2_000,
+                ..Default::default()
+            },
+        )
+    }
+
+    fn small_ota(m: &mut Mcu) -> App {
+        apps::ota_update::build(m, &apps::ota_update::OtaUpdateCfg::default()).0
+    }
+
+    type Builder = dyn Fn(&mut Mcu) -> App;
+
+    /// The reference run, its checkpoints, and the machine they refer to.
+    fn checkpointed(
+        build: &Builder,
+        kind: RuntimeKind,
+        plan: &SweepPlan,
+    ) -> (App, Mcu, SweepOracle, ReferenceRun) {
+        let mut mcu = Mcu::new(Supply::continuous());
+        let app = build(&mut mcu);
+        let oracle = prepare_oracle(build, kind, plan.env_seed);
+        let reference = reference_run(
+            &app,
+            kind,
+            &mut mcu,
+            &oracle.snapshot,
+            plan.env_seed,
+            &plan.fault,
+            true,
+        );
+        (app, mcu, oracle, reference)
+    }
+
+    /// The checkpoint/cut soundness core, checked at the record level: for
+    /// every boundary of an exhaustive sweep, the record of the run resumed
+    /// from the last commit checkpoint and cut once it converges equals the
+    /// record of a full run from time zero, field for field. Multi-task
+    /// shapes under a clean and a violating runtime, with and without a
+    /// peripheral-fault plan.
+    #[test]
+    fn resumed_and_cut_records_match_full_runs() {
+        let apps: [(&str, &Builder); 3] = [
+            ("dma x3", &multi_iteration_dma),
+            ("fir-long small", &small_fir_long),
+            ("ota-update", &small_ota),
+        ];
+        for (name, build) in apps {
+            let mut cut_without_faults = 0;
+            for kind in [RuntimeKind::EaseIo, RuntimeKind::Naive] {
+                for fault in [FaultSpec::none(), FaultSpec::with_rate(3, 120)] {
+                    let plan = SweepPlan {
+                        fault,
+                        ..SweepPlan::with_env_seed(5)
+                    };
+                    let (app, mut mcu, oracle, reference) = checkpointed(build, kind, &plan);
+                    assert!(
+                        reference.checkpoints.len() >= 2,
+                        "{name}: a multi-task run has intermediate commits"
+                    );
+                    let (mut resumed, mut cut) = (0, 0);
+                    for b in 0..=oracle.boundaries {
+                        let (fast, path) = run_injected(
+                            &app,
+                            kind,
+                            &mut mcu,
+                            &oracle.snapshot,
+                            &reference,
+                            b,
+                            &plan,
+                        );
+                        let full = run_from(
+                            &app,
+                            kind,
+                            &mut mcu,
+                            &oracle.snapshot,
+                            Supply::injected(b, plan.off_us),
+                            plan.env_seed,
+                            &plan.fault,
+                        );
+                        assert!(
+                            records_equal(&fast, &full),
+                            "{name} {kind:?} {:?} boundary {b} ({path:?}): \
+                             resumed {fast:?} != full {full:?}",
+                            plan.fault
+                        );
+                        resumed += (path.resumed_from > 0) as u64;
+                        cut += path.cut_at.is_some() as u64;
+                    }
+                    assert!(resumed > 0, "{name} {kind:?}: nothing resumed");
+                    if plan.fault == FaultSpec::none() {
+                        cut_without_faults += cut;
+                    }
+                }
+            }
+            assert!(cut_without_faults > 0, "{name}: no injection was ever cut");
+        }
+    }
+
+    /// The cut must refuse whenever any one fingerprint component differs.
+    /// Drives an injected run from time zero to a commit where it has
+    /// converged with the reference, then perturbs one component at a time
+    /// — a radio-log entry, a fault-plan attempt counter, a runtime table
+    /// entry, a tracker entry, one SRAM byte, one LEA-RAM byte — checking
+    /// that `converged` refuses, and that undoing the perturbation (where
+    /// it can be undone) restores the match.
+    #[test]
+    fn convergence_check_refuses_any_single_perturbation() {
+        use kernel::{resume, ExecState, Flow, TaskId};
+        use mcu_emu::{Addr, RawVar};
+        use periph::PeriphClass;
+
+        let kind = RuntimeKind::EaseIo;
+        let plan = SweepPlan {
+            fault: FaultSpec::with_rate(3, 120),
+            ..SweepPlan::with_env_seed(5)
+        };
+        let (app, mut mcu, oracle, reference) = checkpointed(&small_fir_long, kind, &plan);
+        let snap = &oracle.snapshot;
+        let (b, k) = (0..oracle.boundaries)
+            .find_map(|b| {
+                let (_, path) = run_injected(&app, kind, &mut mcu, snap, &reference, b, &plan);
+                path.cut_at.map(|k| (b, k))
+            })
+            .expect("some injection converges");
+
+        // The injected run at `b`, paused at commit `k`.
+        mcu.restore(snap);
+        mcu.supply = Supply::injected(b, plan.off_us);
+        let mut periph = Peripherals::new(plan.env_seed);
+        plan.fault.apply(&mut periph);
+        let mut rt = kind.make();
+        let mut st = ExecState::new(&app, &mut mcu);
+        let cfg = ExecConfig {
+            retry: plan.fault.retry,
+            ..ExecConfig::default()
+        };
+        resume(
+            &app,
+            rt.as_mut(),
+            &mut mcu,
+            &mut periph,
+            &cfg,
+            &mut st,
+            &mut |_, m, _, _| {
+                if m.stats.task_commits - reference.start_commits == k {
+                    Flow::Stop
+                } else {
+                    Flow::Continue
+                }
+            },
+        );
+        let ck = reference.checkpoint_at(k).unwrap();
+        assert!(converged(snap, ck, &st, &mcu, &periph, rt.as_ref()));
+
+        let mut p = periph.clone();
+        p.radio.transmit(mcu.now_us(), &[7]);
+        assert!(
+            !converged(snap, ck, &st, &mcu, &p, rt.as_ref()),
+            "radio log"
+        );
+
+        let mut p = periph.clone();
+        p.faults.next_fault(PeriphClass::Lea, 0, 0);
+        assert!(
+            !converged(snap, ck, &st, &mcu, &p, rt.as_ref()),
+            "fault counter"
+        );
+
+        let mut perturbed = rt.clone_box();
+        let mut scratch = Mcu::new(Supply::continuous());
+        let var = RawVar {
+            addr: scratch.mem.alloc(Region::Fram, 2, AllocTag::App),
+            width: 2,
+        };
+        perturbed
+            .write_var(&mut scratch, TaskId(0), var, 1)
+            .unwrap();
+        assert!(
+            !converged(snap, ck, &st, &mcu, &periph, perturbed.as_ref()),
+            "runtime table"
+        );
+
+        let mut s2 = st.clone();
+        s2.tracker_mut().first_dma(0, 99);
+        assert!(
+            !converged(snap, ck, &s2, &mcu, &periph, rt.as_ref()),
+            "tracker"
+        );
+
+        for region in [Region::Sram, Region::LeaRam] {
+            let at = Addr::new(region, 100);
+            let byte = mcu.mem.read_bytes(at, 1)[0];
+            mcu.mem.write_bytes(at, &[byte ^ 0x5A]);
+            assert!(
+                !converged(snap, ck, &st, &mcu, &periph, rt.as_ref()),
+                "{region:?} byte"
+            );
+            mcu.mem.write_bytes(at, &[byte]);
+            assert!(converged(snap, ck, &st, &mcu, &periph, rt.as_ref()));
+        }
     }
 
     #[test]

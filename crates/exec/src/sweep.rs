@@ -9,8 +9,8 @@
 //!   entry and selects boundaries with the same `select_boundaries(total,
 //!   mode, seed)` call the serial sweep makes — worker count and pruning
 //!   never enter the selection.
-//! * **Same per-boundary run.** Every *executed* injected run starts from
-//!   the shared post-construction snapshot via `crashcheck::run_from`:
+//! * **Same per-boundary run.** Without pruning every injected run starts
+//!   from the shared post-construction snapshot via `crashcheck::run_from`:
 //!   restored machine, fresh peripherals seeded from `env_seed`, fresh
 //!   kernel. A run's record is a function of (snapshot, boundary, plan)
 //!   alone. Workers build their own `App` on their own machine — task
@@ -23,6 +23,16 @@
 //!   exact — same-class boundaries interrupt the same spend call over the
 //!   same machine state and differ only in additive ledger prefixes the
 //!   reference trace recorded (see DESIGN.md §14).
+//! * **Checkpoints and cuts preserve records.** With pruning on, an
+//!   executed boundary runs through `crashcheck::run_injected`: it resumes
+//!   from the reference run's last task-commit checkpoint at or before the
+//!   boundary (the injected run equals the reference run up to there) and,
+//!   after the failure, stops at the first commit whose state equals the
+//!   reference checkpoint of the same commit index modulo the clock; the
+//!   rest of the record is the reference run's, shifted additively. Its
+//!   record equals `run_from`'s field for field (DESIGN.md §14, "Commit
+//!   checkpoints and convergence cuts"). `--no-prune` runs every boundary
+//!   from time zero and is the soundness reference.
 //! * **Same judgement.** Violations come from the shared
 //!   `crashcheck::check_record`, applied on the coordinator in boundary
 //!   order over real and materialized records alike.
@@ -42,8 +52,8 @@
 use apps::harness::RuntimeKind;
 use crashcheck::{
     check_record, classify_boundaries, filter_update_window, materialize_record, prepare_oracle,
-    reference_trace, run_from, select_boundaries, BoundaryTrace, PruneClasses, RunRecord,
-    SweepOracle, SweepOutcome, SweepPlan, Violation,
+    reference_run, run_from, run_injected, select_boundaries, InjectionPath, PruneClasses,
+    ReferenceRun, RunRecord, SweepOracle, SweepOutcome, SweepPlan, Violation,
 };
 use easeio_trace::Progress;
 use kernel::App;
@@ -72,21 +82,9 @@ impl Default for SweepOptions {
     }
 }
 
-/// What pruning did to one sweep.
-#[derive(Debug, Clone, Default)]
-pub struct PruneStats {
-    /// Whether pruning was enabled for this sweep.
-    pub enabled: bool,
-    /// Injected runs actually executed (class representatives).
-    pub injections_executed: u64,
-    /// Injected runs skipped and materialized from a representative.
-    pub injections_pruned: u64,
-    /// Equivalence classes over the chosen boundaries.
-    pub classes: u64,
-    /// The reference run observed wall-clock time, so classification
-    /// refused to merge anything (every class a singleton).
-    pub time_observed: bool,
-}
+/// What pruning, checkpoints and cuts did to one sweep: the report's
+/// `timing.prune` block, filled in by the engine.
+pub use easeio_trace::SweepPruneDoc as PruneStats;
 
 /// How the sweep spent its host time — reported next to the outcome but
 /// never part of outcome identity (timing varies run to run; results may
@@ -145,11 +143,12 @@ fn batch(boundaries: &[u64], per_batch: usize) -> Vec<Vec<u64>> {
 }
 
 /// Coordinator-side preparation of one entry: oracle, boundary selection,
-/// and (with pruning) the reference trace and equivalence classes.
+/// and (with pruning) the checkpointed reference run and equivalence
+/// classes.
 struct EntryPrep {
     oracle: SweepOracle,
     chosen: Vec<u64>,
-    trace: Option<BoundaryTrace>,
+    reference: Option<ReferenceRun>,
     classes: Option<PruneClasses>,
     /// Boundaries to actually execute: class representatives when pruning,
     /// every chosen boundary otherwise.
@@ -199,32 +198,35 @@ pub fn sweep_matrix_observed(
         let oracle_us = t0.elapsed().as_micros() as u64;
         let t1 = Instant::now();
         let mut chosen = select_boundaries(oracle.boundaries, entry.plan.mode, entry.plan.seed);
-        let (trace, classes, exec) = if opts.prune || entry.plan.update_window {
+        let (reference, classes, exec) = if opts.prune || entry.plan.update_window {
             // The reference run replays the injected runs' shared prefix on
             // continuous power with the recorder on: same fault plan, same
             // env seed — one extra run per entry, amortized over every
-            // boundary it prunes (and reused for the update-window filter).
+            // boundary it prunes, resumes or cuts (and reused for the
+            // update-window filter). Only a pruned sweep checkpoints it:
+            // unpruned, every boundary runs from time zero.
             let mut mcu = Mcu::new(Supply::continuous());
             let app = (entry.builder)(&mut mcu);
-            let trace = reference_trace(
+            let reference = reference_run(
                 &app,
                 entry.kind,
                 &mut mcu,
                 &oracle.snapshot,
                 entry.plan.env_seed,
                 &entry.plan.fault,
+                opts.prune,
             );
             // Same order as the serial sweep: window filter first, then
             // classification over the surviving boundaries.
             if entry.plan.update_window {
-                chosen = filter_update_window(&chosen, &trace);
+                chosen = filter_update_window(&chosen, &reference.trace);
             }
             if opts.prune {
-                let classes = classify_boundaries(&chosen, &trace);
+                let classes = classify_boundaries(&chosen, &reference.trace);
                 let exec = classes.reps.clone();
-                (Some(trace), Some(classes), exec)
+                (Some(reference), Some(classes), exec)
             } else {
-                (Some(trace), None, chosen.clone())
+                (Some(reference), None, chosen.clone())
             }
         } else {
             (None, None, chosen.clone())
@@ -243,7 +245,7 @@ pub fn sweep_matrix_observed(
         preps.push(EntryPrep {
             oracle,
             chosen,
-            trace,
+            reference,
             classes,
             exec,
             items: (start, items.len()),
@@ -277,25 +279,46 @@ pub fn sweep_matrix_observed(
                 let app = (entry.builder)(&mut mcu);
                 (mcu, app)
             });
-            let records: Vec<RunRecord> = item
+            let runs: Vec<(RunRecord, InjectionPath)> = item
                 .boundaries
                 .iter()
-                .map(|&b| {
-                    run_from(
+                .map(|&b| match (&prep.reference, opts.prune) {
+                    // Pruned: resume from the reference run's last commit
+                    // checkpoint and cut once the state re-converges.
+                    (Some(reference), true) => run_injected(
                         app,
                         entry.kind,
                         mcu,
                         &prep.oracle.snapshot,
-                        Supply::injected(b, entry.plan.off_us),
-                        entry.plan.env_seed,
-                        &entry.plan.fault,
-                    )
+                        reference,
+                        b,
+                        &entry.plan,
+                    ),
+                    // Unpruned, the soundness reference: the whole run
+                    // from time zero.
+                    _ => {
+                        let r = run_from(
+                            app,
+                            entry.kind,
+                            mcu,
+                            &prep.oracle.snapshot,
+                            Supply::injected(b, entry.plan.off_us),
+                            entry.plan.env_seed,
+                            &entry.plan.fault,
+                        );
+                        let path = InjectionPath {
+                            resumed_from: 0,
+                            cut_at: None,
+                            slices: r.boundaries,
+                        };
+                        (r, path)
+                    }
                 })
                 .collect();
             if let Some(p) = progress {
-                p.add(records.len() as u64);
+                p.add(runs.len() as u64);
             }
-            (records, t0.elapsed().as_micros() as u64)
+            (runs, t0.elapsed().as_micros() as u64)
         },
         |_| (),
     );
@@ -312,8 +335,10 @@ pub fn sweep_matrix_observed(
         let prep = &preps[e];
         let t0 = Instant::now();
         let (start, end) = prep.items;
-        let recs: Vec<&RunRecord> = (start..end).flat_map(|i| results[i].0.iter()).collect();
-        debug_assert_eq!(recs.len(), prep.exec.len());
+        let runs: Vec<&(RunRecord, InjectionPath)> =
+            (start..end).flat_map(|i| results[i].0.iter()).collect();
+        debug_assert_eq!(runs.len(), prep.exec.len());
+        let recs: Vec<&RunRecord> = runs.iter().map(|(r, _)| r).collect();
         let mut violations: Vec<Violation> = Vec::new();
         let mut boundary_waste_nj = Vec::with_capacity(prep.chosen.len());
         let mut cause_energy_nj = [0u64; CAUSE_COUNT];
@@ -329,15 +354,15 @@ pub fn sweep_matrix_observed(
                 *total += c;
             }
         };
-        match (&prep.classes, &prep.trace) {
-            (Some(classes), Some(trace)) => {
+        match (&prep.classes, &prep.reference) {
+            (Some(classes), Some(reference)) => {
                 for (j, &b) in prep.chosen.iter().enumerate() {
                     let c = classes.class_of[j];
                     let rep_b = classes.reps[c];
                     if b == rep_b {
                         fold(recs[c], b);
                     } else {
-                        let materialized = materialize_record(trace, recs[c], rep_b, b);
+                        let materialized = materialize_record(&reference.trace, recs[c], rep_b, b);
                         fold(&materialized, b);
                     }
                 }
@@ -374,10 +399,22 @@ pub fn sweep_matrix_observed(
                 .map(|c| c.reps.len() as u64)
                 .unwrap_or(0),
             time_observed: prep
-                .trace
+                .reference
                 .as_ref()
-                .map(|t| t.time_observed)
-                .unwrap_or(false),
+                .is_some_and(|r| r.trace.time_observed),
+            checkpoints: prep
+                .reference
+                .as_ref()
+                .map_or(0, |r| r.checkpoints.len() as u64),
+            resumed: runs.iter().filter(|(_, p)| p.resumed_from > 0).count() as u64,
+            cut: runs.iter().filter(|(_, p)| p.cut_at.is_some()).count() as u64,
+            slices_executed: runs.iter().map(|(_, p)| p.slices).sum(),
+            provenance: prep
+                .exec
+                .iter()
+                .zip(&runs)
+                .map(|(&b, (_, p))| (b, p.resumed_from, p.cut_at))
+                .collect(),
         };
         let timing = SweepTiming {
             jobs: stats.jobs,

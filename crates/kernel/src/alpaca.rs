@@ -25,7 +25,7 @@ use periph::Peripherals;
 use std::collections::{HashMap, HashSet};
 
 /// The Alpaca runtime.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AlpacaRuntime {
     /// Variables read so far in the current activation.
     read_set: HashSet<RawVar>,

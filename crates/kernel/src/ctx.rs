@@ -433,11 +433,9 @@ impl<'a> TaskCtx<'a> {
             let wasted = periph::dma::transfer_cost(&self.mcu.cost, bytes);
             // The aborted burst paid for the transfer without delivering it:
             // retry waste, even if a power failure lands mid-burst.
-            let marks = self.mcu.stats.cause_marks();
-            let spent = self.mcu.spend(WorkKind::App, wasted);
-            self.mcu
-                .stats
-                .reattribute_since(&marks, EnergyCause::Retry, self.task.0);
+            let spent =
+                self.mcu
+                    .spend_reattributed(WorkKind::App, wasted, EnergyCause::Retry, self.task.0);
             self.mcu.stats.bump("dma_faults");
             self.span(
                 site,

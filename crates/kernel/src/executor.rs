@@ -75,10 +75,80 @@ pub struct RunResult {
     pub cause_samples: Vec<mcu_emu::CauseSample>,
 }
 
+/// The executor's host-side state between two steps of a run: everything
+/// [`run_app`] used to keep in locals across boots. Together with the
+/// machine, the peripherals and the runtime it is the whole state of a
+/// run, so a run can be resumed from any task commit by cloning all four.
+#[derive(Debug, Clone)]
+pub struct ExecState {
+    /// The execution pointer, a runtime-tagged FRAM word restored on boot.
+    cur: NvVar<u16>,
+    /// The task to run next without booting; `None` when the next step is
+    /// a boot (run start, or after a power failure).
+    task: Option<TaskId>,
+    /// Failed attempts of the activation currently in progress. It
+    /// survives the boot loop so the non-termination guard covers
+    /// boot-loop livelock too.
+    attempts: u64,
+    /// Which sites already completed in the current activations.
+    tracker: ActivationTracker,
+    /// How the run ended; `None` while it is still running.
+    outcome: Option<Outcome>,
+}
+
+impl ExecState {
+    /// State at the start of a run: allocates the execution pointer in
+    /// FRAM and points it at the app's entry task. The MCU should be
+    /// freshly constructed, with the app's buffers already allocated.
+    pub fn new(app: &App, mcu: &mut Mcu) -> Self {
+        let cur: NvVar<u16> = NvVar::alloc_tagged(&mut mcu.mem, Region::Fram, AllocTag::Runtime);
+        cur.set(&mut mcu.mem, app.entry.0);
+        Self {
+            cur,
+            task: None,
+            attempts: 0,
+            tracker: ActivationTracker::new(),
+            outcome: None,
+        }
+    }
+
+    /// How the run ended, or `None` while it is still running.
+    pub fn outcome(&self) -> Option<Outcome> {
+        self.outcome
+    }
+
+    /// Mutable access to the activation tracker (tests perturb it).
+    pub fn tracker_mut(&mut self) -> &mut ActivationTracker {
+        &mut self.tracker
+    }
+
+    /// Whether this state, from a run whose clock runs `shift_us` ahead of
+    /// `reference`'s, is the same executor state: execution pointer, next
+    /// task, attempt count and outcome equal, activation trackers equal
+    /// modulo the clock shift ([`ActivationTracker::matches_shifted`]).
+    pub fn matches_shifted(&self, reference: &ExecState, shift_us: u64) -> bool {
+        self.cur.raw() == reference.cur.raw()
+            && self.task == reference.task
+            && self.attempts == reference.attempts
+            && self.outcome == reference.outcome
+            && self.tracker.matches_shifted(&reference.tracker, shift_us)
+    }
+}
+
+/// What a [`resume`] caller's commit hook tells the executor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flow {
+    /// Keep running.
+    Continue,
+    /// Stop right after this commit, leaving the run resumable.
+    Stop,
+}
+
 /// Runs `app` under `rt` on `mcu`/`periph` until completion or give-up.
 ///
 /// The MCU should be freshly constructed; the app's buffers must already be
-/// allocated in `mcu.mem` (apps do this in their builders).
+/// allocated in `mcu.mem` (apps do this in their builders). This is
+/// [`ExecState::new`], then [`resume`] to the end, then [`finish`].
 pub fn run_app(
     app: &App,
     rt: &mut dyn Runtime,
@@ -86,47 +156,65 @@ pub fn run_app(
     periph: &mut Peripherals,
     cfg: &ExecConfig,
 ) -> RunResult {
-    // The execution pointer lives in FRAM, restored on every boot.
-    let cur: NvVar<u16> = NvVar::alloc_tagged(&mut mcu.mem, Region::Fram, AllocTag::Runtime);
-    cur.set(&mut mcu.mem, app.entry.0);
+    let mut st = ExecState::new(app, mcu);
+    resume(app, rt, mcu, periph, cfg, &mut st, &mut |_, _, _, _| {
+        Flow::Continue
+    });
+    finish(app, mcu, periph, &st)
+}
 
-    let mut tracker = ActivationTracker::new();
-    let mut outcome = Outcome::Completed;
-    // Failed attempts of the activation currently in progress (survives the
-    // boot loop so the non-termination guard covers boot-loop livelock too).
-    let mut attempts_this_activation: u64 = 0;
-
+/// Runs from `st` until the run ends or `on_commit` returns
+/// [`Flow::Stop`]. The hook is called after every task commit — the points
+/// between task bodies, where the whole run state is data and the run can
+/// be resumed — with the executor state, machine, peripherals and runtime
+/// as they are there.
+pub fn resume(
+    app: &App,
+    rt: &mut dyn Runtime,
+    mcu: &mut Mcu,
+    periph: &mut Peripherals,
+    cfg: &ExecConfig,
+    st: &mut ExecState,
+    on_commit: &mut dyn FnMut(&ExecState, &Mcu, &Peripherals, &dyn Runtime) -> Flow,
+) {
+    let cur = st.cur;
     // Boot loop: one iteration per power-on period.
-    'run: loop {
-        // Boot: pay the boot overhead and restore the execution pointer.
-        emit_instant(mcu, InstantKind::Boot, "boot");
-        let mut task_id = match boot(rt, mcu, cur) {
-            Ok(raw) => {
-                if raw == u16::MAX {
-                    break 'run; // the app had already finished
+    while st.outcome.is_none() {
+        let mut task_id = match st.task {
+            Some(t) => t,
+            None => {
+                // Boot: pay the boot overhead and restore the execution
+                // pointer.
+                emit_instant(mcu, InstantKind::Boot, "boot");
+                match boot(rt, mcu, cur) {
+                    Ok(u16::MAX) => {
+                        // The app had already finished.
+                        st.outcome = Some(Outcome::Completed);
+                        break;
+                    }
+                    Ok(raw) => TaskId(raw),
+                    Err(_) => {
+                        // Failure during boot itself: reboot again.
+                        st.attempts += 1;
+                        if st.attempts > cfg.max_attempts_per_task {
+                            st.outcome = Some(Outcome::NonTermination);
+                            emit_instant(mcu, InstantKind::GiveUp, "boot");
+                        }
+                        continue;
+                    }
                 }
-                TaskId(raw)
-            }
-            Err(_) => {
-                // Failure during boot itself: reboot again.
-                attempts_this_activation += 1;
-                if attempts_this_activation > cfg.max_attempts_per_task {
-                    outcome = Outcome::NonTermination;
-                    emit_instant(mcu, InstantKind::GiveUp, "boot");
-                    break 'run;
-                }
-                continue 'run;
             }
         };
+        st.task = Some(task_id);
 
         // Powered: execute tasks back-to-back until a failure or completion.
         loop {
-            let reexecution = attempts_this_activation > 0;
-            attempts_this_activation += 1;
-            if attempts_this_activation > cfg.max_attempts_per_task {
-                outcome = Outcome::NonTermination;
+            let reexecution = st.attempts > 0;
+            st.attempts += 1;
+            if st.attempts > cfg.max_attempts_per_task {
+                st.outcome = Some(Outcome::NonTermination);
                 emit_instant(mcu, InstantKind::GiveUp, app.task(task_id).name);
-                break 'run;
+                return;
             }
             mcu.stats.task_attempts += 1;
             // Energy attribution: every spend in this attempt is charged to
@@ -140,7 +228,7 @@ pub fn run_app(
             let task_name = app.task(task_id).name;
             // The attempt span's begin carries the attempt index within the
             // activation in `site` (> 0 means re-execution).
-            let attempt_idx = (attempts_this_activation - 1).min(NO_SITE as u64 - 1) as u16;
+            let attempt_idx = (st.attempts - 1).min(NO_SITE as u64 - 1) as u16;
             emit_span(
                 mcu,
                 task_id.0,
@@ -148,10 +236,11 @@ pub fn run_app(
                 task_name,
                 EventKind::SpanBegin(SpanKind::TaskAttempt),
             );
+            let tracker = &mut st.tracker;
             let attempt = (|| {
                 rt.on_task_entry(mcu, task_id, reexecution)?;
                 let body = app.task(task_id).body.clone();
-                let mut ctx = TaskCtx::new(mcu, periph, rt, &mut tracker, task_id, cfg.retry);
+                let mut ctx = TaskCtx::new(mcu, periph, rt, tracker, task_id, cfg.retry);
                 let transition = body(&mut ctx)?;
                 // Commit: the runtime's flag/privatization publication and
                 // the execution-pointer update are ONE atomic step. If the
@@ -203,11 +292,21 @@ pub fn run_app(
                         task_name,
                         EventKind::SpanEnd(SpanKind::TaskAttempt, Status::Committed),
                     );
-                    tracker.commit(task_id.0);
-                    attempts_this_activation = 0;
+                    st.tracker.commit(task_id.0);
+                    st.attempts = 0;
                     match transition {
-                        Transition::Done => break 'run,
-                        Transition::To(t) => task_id = t,
+                        Transition::Done => {
+                            st.task = None;
+                            st.outcome = Some(Outcome::Completed);
+                        }
+                        Transition::To(t) => st.task = Some(t),
+                    }
+                    if on_commit(st, mcu, periph, rt) == Flow::Stop {
+                        return;
+                    }
+                    match st.task {
+                        Some(t) => task_id = t,
+                        None => return,
                     }
                 }
                 Err(Fault::Power(_)) => {
@@ -222,7 +321,8 @@ pub fn run_app(
                         task_name,
                         EventKind::SpanEnd(SpanKind::TaskAttempt, Status::Failed),
                     );
-                    continue 'run;
+                    st.task = None;
+                    break;
                 }
                 Err(f @ (Fault::Dma(_) | Fault::Io(_))) => {
                     // Re-executing cannot clear a resource fault or refill
@@ -235,13 +335,21 @@ pub fn run_app(
                         EventKind::SpanEnd(SpanKind::TaskAttempt, Status::Failed),
                     );
                     emit_instant(mcu, InstantKind::GiveUp, task_name);
-                    outcome = Outcome::Fault(f);
-                    break 'run;
+                    st.outcome = Some(Outcome::Fault(f));
+                    return;
                 }
             }
         }
     }
+}
 
+/// Collects the [`RunResult`] of a run that [`resume`] ran to its end:
+/// the app's verdict (completed runs only), the ledger and the drained
+/// trace.
+pub fn finish(app: &App, mcu: &mut Mcu, periph: &Peripherals, st: &ExecState) -> RunResult {
+    let outcome = st
+        .outcome
+        .expect("finish called on a run that has not ended");
     let verdict = if outcome == Outcome::Completed {
         app.verify.as_ref().map(|v| v(mcu, periph))
     } else {

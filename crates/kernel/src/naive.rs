@@ -13,7 +13,7 @@ use mcu_emu::{Addr, Mcu, PowerFailure, RawVar, WorkKind};
 use periph::Peripherals;
 
 /// The no-op runtime.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NaiveRuntime;
 
 impl NaiveRuntime {

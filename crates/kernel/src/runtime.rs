@@ -21,6 +21,7 @@ use crate::io::IoOp;
 use crate::semantics::{DmaAnnotation, ReexecSemantics, TaskId};
 use mcu_emu::{Addr, Mcu, PowerFailure, RawVar};
 use periph::Peripherals;
+use std::any::Any;
 
 /// Result of a `_call_IO` invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,8 +40,39 @@ pub struct DmaOutcome {
     pub executed: bool,
 }
 
-/// An intermittent-computing runtime.
-pub trait Runtime {
+/// Copy and comparison of a runtime's host-side tables (control-block
+/// maps, per-activation sets): what a run resumed from a checkpoint needs
+/// to carry over, and what a convergence check must compare. Implemented
+/// for every `Clone + PartialEq` runtime.
+pub trait RuntimeState {
+    /// A boxed copy of this runtime, host tables included.
+    fn clone_box(&self) -> Box<dyn Runtime>;
+
+    /// Whether `other` is the same runtime type holding identical tables.
+    fn same_state(&self, other: &dyn Runtime) -> bool;
+
+    /// `self` as `Any`, for [`RuntimeState::same_state`]'s downcast.
+    fn as_any(&self) -> &dyn Any;
+}
+
+impl<T: Runtime + Clone + PartialEq + 'static> RuntimeState for T {
+    fn clone_box(&self) -> Box<dyn Runtime> {
+        Box::new(self.clone())
+    }
+
+    fn same_state(&self, other: &dyn Runtime) -> bool {
+        other.as_any().downcast_ref::<T>() == Some(self)
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
+/// An intermittent-computing runtime. Runtimes are plain data (`Send +
+/// Sync`, cloneable through [`RuntimeState`]) so a sweep can share one
+/// checkpointed copy with every worker thread.
+pub trait Runtime: RuntimeState + Send + Sync {
     /// Runtime name for reports ("Alpaca", "InK", "EaseIO", ...).
     fn name(&self) -> &'static str;
 

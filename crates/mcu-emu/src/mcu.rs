@@ -10,7 +10,7 @@
 
 use crate::clock::Clock;
 use crate::energy::{Cost, CostTable};
-use crate::memory::{MemSnapshot, Memory};
+use crate::memory::{MemCheckpoint, MemSnapshot, Memory};
 use crate::nvstore::RawVar;
 use crate::power::Supply;
 use crate::stats::{CauseSample, EnergyCause, RunStats, WorkKind, KERNEL_TASK};
@@ -86,6 +86,11 @@ pub struct SpendBoundary {
 struct BoundaryRecorder {
     tracked: Vec<&'static str>,
     spend_seq: u64,
+    /// Give every slice of the current spend call its own `spend_seq`
+    /// (set by [`Mcu::spend_reattributed`]).
+    split_slices: bool,
+    /// `records.len()` when the current spend call began.
+    call_start: usize,
     time_observed: bool,
     records: Vec<SpendBoundary>,
 }
@@ -247,6 +252,7 @@ impl Mcu {
         let task = self.attr.task;
         if let Some(rec) = self.recorder.as_mut() {
             rec.spend_seq += 1;
+            rec.call_start = rec.records.len();
         }
         let mut remaining = cost;
         loop {
@@ -264,6 +270,9 @@ impl Mcu {
             );
             let off_before = self.clock.off_us();
             if let Some(rec) = self.recorder.as_mut() {
+                if rec.split_slices && rec.records.len() > rec.call_start {
+                    rec.spend_seq += 1;
+                }
                 rec.records.push(SpendBoundary {
                     spend_seq: rec.spend_seq,
                     boundaries: self.stats.boundaries,
@@ -316,6 +325,31 @@ impl Mcu {
                 return Ok(());
             }
         }
+    }
+
+    /// Spends `cost` like [`Mcu::spend`], then moves everything it charged
+    /// into cause `to` on `task`'s row — also when a power failure cut the
+    /// spend short, so the amount moved depends on which slice the failure
+    /// hit. That breaks the premise of boundary equivalence (nothing
+    /// changes between two slices of one call), so the recorder gives each
+    /// slice of such a call its own `spend_seq`.
+    pub fn spend_reattributed(
+        &mut self,
+        kind: WorkKind,
+        cost: Cost,
+        to: EnergyCause,
+        task: u16,
+    ) -> Result<(), PowerFailure> {
+        let marks = self.stats.cause_marks();
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.split_slices = true;
+        }
+        let spent = self.spend(kind, cost);
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.split_slices = false;
+        }
+        self.stats.reattribute_since(&marks, to, task);
+        spent
     }
 
     /// Appends one per-cause energy sample (traced runs only; sweeps and
@@ -427,6 +461,60 @@ impl Mcu {
         // bleed into this one.
         self.attr = AttributionCtx::default();
         self.samples.clear();
+    }
+
+    /// Captures the machine state a resumed run needs — clock, memory,
+    /// ledger — as a [`McuCheckpoint`] against `base`, the snapshot this
+    /// machine was last restored from. Memory is held as a page delta
+    /// against `base` that shares unchanged pages with `prev`; the supply,
+    /// the cost table (fixed by `base`) and host instrumentation are not
+    /// part of it.
+    pub fn checkpoint(&self, base: &McuSnapshot, prev: Option<&McuCheckpoint>) -> McuCheckpoint {
+        McuCheckpoint {
+            clock: self.clock.clone(),
+            mem: self.mem.checkpoint(&base.inner.mem, prev.map(|p| &p.mem)),
+            stats: self.stats.clone(),
+        }
+    }
+
+    /// Restores a checkpoint captured against `base`, leaving the machine
+    /// copy-on-write relative to `base`. Like [`Mcu::restore`], it resets
+    /// the volatile attribution context and counter samples.
+    pub fn restore_checkpoint(&mut self, base: &McuSnapshot, ck: &McuCheckpoint) {
+        self.clock = ck.clock.clone();
+        self.mem.restore_checkpoint(&base.inner.mem, &ck.mem);
+        self.stats = ck.stats.clone();
+        self.cost = base.inner.cost.clone();
+        self.attr = AttributionCtx::default();
+        self.samples.clear();
+    }
+
+    /// Whether this machine's memory — all three regions, allocator cursors
+    /// and records — equals the checkpoint's. Clock and ledger are not
+    /// compared.
+    pub fn memory_matches(&self, base: &McuSnapshot, ck: &McuCheckpoint) -> bool {
+        self.mem.matches_checkpoint(&base.inner.mem, &ck.mem)
+    }
+}
+
+/// Machine state at one point of a run, captured by [`Mcu::checkpoint`]
+/// as a page delta against a base snapshot.
+#[derive(Debug, Clone)]
+pub struct McuCheckpoint {
+    clock: Clock,
+    mem: MemCheckpoint,
+    stats: RunStats,
+}
+
+impl McuCheckpoint {
+    /// The ledger at the checkpoint.
+    pub fn stats(&self) -> &RunStats {
+        &self.stats
+    }
+
+    /// Wall-clock time at the checkpoint (µs).
+    pub fn now_us(&self) -> u64 {
+        self.clock.now_us()
     }
 }
 

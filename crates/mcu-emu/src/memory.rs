@@ -77,7 +77,7 @@ pub enum AllocTag {
 }
 
 /// One recorded allocation, for footprint accounting.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocRecord {
     /// Region allocated from.
     pub region: Region,
@@ -110,6 +110,50 @@ pub struct MemSnapshot {
     lea_ram: Vec<u8>,
     next: [u32; 3],
     allocs: Vec<AllocRecord>,
+}
+
+/// A page-delta image of the memory map against one base [`MemSnapshot`]:
+/// only the pages written since the base was taken or restored are held,
+/// and a checkpoint captured after another shares every page whose bytes
+/// did not change in between. A run's sequence of checkpoints therefore
+/// costs the pages it actually rewrote, not 264 KB per checkpoint.
+#[derive(Debug, Clone)]
+pub struct MemCheckpoint {
+    /// Identity of the base snapshot the delta is relative to.
+    base: u64,
+    /// Held pages per region, one bit per [`PAGE_BYTES`] page.
+    mask: [u64; 3],
+    /// Page images per region, in ascending page order of `mask`'s bits.
+    pages: [Vec<std::sync::Arc<[u8]>>; 3],
+    next: [u32; 3],
+    allocs: std::sync::Arc<Vec<AllocRecord>>,
+}
+
+impl MemCheckpoint {
+    /// The held image of `page` in `region`, if the checkpoint holds it.
+    fn page(&self, region: Region, page: u32) -> Option<&std::sync::Arc<[u8]>> {
+        let i = Memory::idx(region);
+        let bit = 1u64 << page;
+        (self.mask[i] & bit != 0)
+            .then(|| &self.pages[i][(self.mask[i] & (bit - 1)).count_ones() as usize])
+    }
+}
+
+/// Byte range of `page` within a region of `size` bytes.
+fn page_range(page: u32, size: usize) -> std::ops::Range<usize> {
+    let lo = (page * PAGE_BYTES) as usize;
+    lo..(lo + PAGE_BYTES as usize).min(size)
+}
+
+/// Iterates the set bits of a page mask, lowest first.
+fn pages_of(mut bits: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let page = bits.trailing_zeros();
+            bits &= bits - 1;
+            page
+        })
+    })
 }
 
 /// The simulated memory: three byte arrays plus bump allocators.
@@ -334,14 +378,9 @@ impl Memory {
                 (Region::Sram, &snap.sram),
                 (Region::LeaRam, &snap.lea_ram),
             ] {
-                let i = Self::idx(region);
-                let mut bits = self.dirty[i];
-                while bits != 0 {
-                    let page = bits.trailing_zeros();
-                    bits &= bits - 1;
-                    let lo = (page * PAGE_BYTES) as usize;
-                    let hi = (lo + PAGE_BYTES as usize).min(region.size());
-                    self.slab_mut(region)[lo..hi].copy_from_slice(&src[lo..hi]);
+                for page in pages_of(self.dirty[Self::idx(region)]) {
+                    let r = page_range(page, region.size());
+                    self.slab_mut(region)[r.clone()].copy_from_slice(&src[r]);
                 }
             }
         } else {
@@ -353,6 +392,99 @@ impl Memory {
         self.dirty = [0; 3];
         self.next = snap.next;
         self.allocs.clone_from(&snap.allocs);
+    }
+
+    /// Captures the pages written since `base` was taken or restored as a
+    /// [`MemCheckpoint`]. Pages whose bytes equal `prev`'s image of the
+    /// same page are shared with `prev` instead of copied. Panics if the
+    /// dirty map is not relative to `base`.
+    pub fn checkpoint(&self, base: &MemSnapshot, prev: Option<&MemCheckpoint>) -> MemCheckpoint {
+        assert_eq!(
+            self.base,
+            Some(base.id),
+            "checkpoint against a foreign base"
+        );
+        let mut pages: [Vec<std::sync::Arc<[u8]>>; 3] = Default::default();
+        for region in [Region::Fram, Region::Sram, Region::LeaRam] {
+            let i = Self::idx(region);
+            for page in pages_of(self.dirty[i]) {
+                let bytes = &self.slab(region)[page_range(page, region.size())];
+                let shared = prev
+                    .and_then(|p| p.page(region, page))
+                    .filter(|old| old[..] == *bytes);
+                pages[i].push(match shared {
+                    Some(old) => old.clone(),
+                    None => bytes.into(),
+                });
+            }
+        }
+        let allocs = match prev {
+            Some(p) if *p.allocs == self.allocs => p.allocs.clone(),
+            _ => std::sync::Arc::new(self.allocs.clone()),
+        };
+        MemCheckpoint {
+            base: base.id,
+            mask: self.dirty,
+            pages,
+            next: self.next,
+            allocs,
+        }
+    }
+
+    /// Restores a checkpoint captured against `base`: pages the checkpoint
+    /// does not hold come from `base` (copy-on-write when this memory is
+    /// already based on it), held pages from the checkpoint. Afterwards the
+    /// dirty map is relative to `base` again, so a later [`Memory::restore`]
+    /// of `base` stays page-wise.
+    pub fn restore_checkpoint(&mut self, base: &MemSnapshot, ck: &MemCheckpoint) {
+        assert_eq!(ck.base, base.id, "checkpoint of a different base");
+        if self.base != Some(base.id) {
+            self.restore(base);
+        }
+        for (region, src) in [
+            (Region::Fram, &base.fram),
+            (Region::Sram, &base.sram),
+            (Region::LeaRam, &base.lea_ram),
+        ] {
+            let i = Self::idx(region);
+            for page in pages_of(self.dirty[i] & !ck.mask[i]) {
+                let r = page_range(page, region.size());
+                self.slab_mut(region)[r.clone()].copy_from_slice(&src[r]);
+            }
+            for (page, data) in pages_of(ck.mask[i]).zip(&ck.pages[i]) {
+                self.slab_mut(region)[page_range(page, region.size())].copy_from_slice(data);
+            }
+            self.dirty[i] = ck.mask[i];
+        }
+        self.next = ck.next;
+        self.allocs.clone_from(&ck.allocs);
+    }
+
+    /// Whether this memory equals checkpoint `ck` of `base` byte for byte
+    /// in all three regions, with identical allocator cursors and records.
+    /// Only pages written on either side are compared: every other page
+    /// equals `base` in both. Panics if the dirty map is not relative to
+    /// `base`.
+    pub fn matches_checkpoint(&self, base: &MemSnapshot, ck: &MemCheckpoint) -> bool {
+        assert_eq!(self.base, Some(base.id), "compare against a foreign base");
+        assert_eq!(ck.base, base.id, "checkpoint of a different base");
+        if self.next != ck.next || self.allocs != *ck.allocs {
+            return false;
+        }
+        [
+            (Region::Fram, &base.fram),
+            (Region::Sram, &base.sram),
+            (Region::LeaRam, &base.lea_ram),
+        ]
+        .into_iter()
+        .all(|(region, src)| {
+            let i = Self::idx(region);
+            pages_of(self.dirty[i] | ck.mask[i]).all(|page| {
+                let r = page_range(page, region.size());
+                let expected = ck.page(region, page).map_or(&src[r.clone()], |p| &p[..]);
+                self.slab(region)[r] == *expected
+            })
+        })
     }
 }
 
@@ -460,6 +592,52 @@ mod tests {
         b.write_bytes(va, &[8; 4]);
         b.restore(&snap);
         assert_eq!(b.read_bytes(va, 4), &[3, 1, 4, 1]);
+    }
+
+    /// Checkpoints hold only pages written since the base, share unchanged
+    /// pages with the previous checkpoint, restore onto a machine that
+    /// never saw the base, and compare all regions plus the allocator.
+    #[test]
+    fn checkpoints_are_page_deltas_sharing_unchanged_pages() {
+        let mut m = Memory::new();
+        let a = m.alloc(Region::Fram, 8, AllocTag::App);
+        let base = m.snapshot();
+        let far = Addr::new(Region::Fram, 40 * PAGE_BYTES);
+        let lea = Addr::new(Region::LeaRam, 10);
+        m.write_bytes(a, &[1; 8]);
+        m.write_bytes(far, &[2; 4]);
+        let c1 = m.checkpoint(&base, None);
+        m.write_bytes(lea, &[3]);
+        let c2 = m.checkpoint(&base, Some(&c1));
+        assert_eq!(c2.mask, [1 | 1 << 40, 0, 1]);
+        assert!(std::sync::Arc::ptr_eq(
+            c1.page(Region::Fram, 40).unwrap(),
+            c2.page(Region::Fram, 40).unwrap()
+        ));
+        assert!(m.matches_checkpoint(&base, &c2));
+        assert!(
+            !m.matches_checkpoint(&base, &c1),
+            "the LEA-RAM byte differs"
+        );
+
+        let mut w = Memory::new();
+        w.restore_checkpoint(&base, &c1);
+        assert_eq!(w.read_bytes(a, 8), &[1; 8]);
+        assert_eq!(w.read_bytes(lea, 1), &[0]);
+        assert!(w.matches_checkpoint(&base, &c1));
+        w.restore(&base);
+        assert_eq!(
+            w.read_bytes(far, 4),
+            &[0; 4],
+            "copy-on-write back to the base"
+        );
+        w.restore_checkpoint(&base, &c2);
+        assert!(w.matches_checkpoint(&base, &c2));
+        w.alloc(Region::Sram, 2, AllocTag::App);
+        assert!(
+            !w.matches_checkpoint(&base, &c2),
+            "allocator cursor differs"
+        );
     }
 
     #[test]

@@ -186,10 +186,18 @@ impl Supply {
     /// `fail_at`-th spend boundary, stays off for `off_us`, then never fails
     /// again.
     pub fn injected(fail_at: u64, off_us: u64) -> Self {
+        Self::injected_after(fail_at, off_us, 0)
+    }
+
+    /// [`Supply::injected`] for a run resumed after `seen` boundaries were
+    /// already crossed: the failure still fires at absolute boundary
+    /// `fail_at`. A resumed run charges exactly like the same run from time
+    /// zero from then on.
+    pub fn injected_after(fail_at: u64, off_us: u64, seen: u64) -> Self {
         Supply::Injected {
             fail_at,
             off_us,
-            seen: 0,
+            seen,
             fired: false,
         }
     }

@@ -156,6 +156,35 @@ pub struct CauseSample {
     pub energy_nj: [u64; CAUSE_COUNT],
 }
 
+/// The additive shift `self - from + to` of one ledger field, for
+/// [`RunStats::rebased`]. Wrapping arithmetic keeps differences exact
+/// where a reattributed cause shrank between `from` and `self`.
+trait Shift {
+    fn shift(&self, from: &Self, to: &Self) -> Self;
+}
+
+impl Shift for u64 {
+    fn shift(&self, from: &u64, to: &u64) -> u64 {
+        self.wrapping_sub(*from).wrapping_add(*to)
+    }
+}
+
+impl<const N: usize> Shift for [u64; N] {
+    fn shift(&self, from: &Self, to: &Self) -> Self {
+        std::array::from_fn(|i| self[i].shift(&from[i], &to[i]))
+    }
+}
+
+impl<K: Ord + Copy, V: Shift + Default + Clone> Shift for BTreeMap<K, V> {
+    fn shift(&self, from: &Self, to: &Self) -> Self {
+        let get = |m: &Self, k: &K| m.get(k).cloned().unwrap_or_default();
+        self.keys()
+            .chain(to.keys())
+            .map(|k| (*k, get(self, k).shift(&get(from, k), &get(to, k))))
+            .collect()
+    }
+}
+
 /// Counters and ledgers collected over one simulated run.
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
@@ -390,6 +419,40 @@ impl RunStats {
         for (k, v) in &other.counters {
             *self.counters.entry(k).or_insert(0) += v;
         }
+    }
+
+    /// Carries this ledger onto another run by the additive shift: every
+    /// field becomes `self - from + to`. `from` is an earlier point of the
+    /// run that ended at `self`, `to` a point of another run whose
+    /// continuation from there adds exactly the deltas this run added after
+    /// `from`; the result is that other run's final ledger.
+    pub fn rebased(&self, from: &RunStats, to: &RunStats) -> RunStats {
+        macro_rules! shifted {
+            ($($field:ident),* $(,)?) => {
+                RunStats { $($field: self.$field.shift(&from.$field, &to.$field)),* }
+            };
+        }
+        shifted!(
+            app_time_us,
+            overhead_time_us,
+            app_energy_nj,
+            overhead_energy_nj,
+            power_failures,
+            task_attempts,
+            task_commits,
+            io_executed,
+            io_skipped,
+            io_reexecutions,
+            dma_executed,
+            dma_skipped,
+            dma_reexecutions,
+            boundaries,
+            cause_time_us,
+            cause_energy_nj,
+            cause_energy_by_task,
+            redundant_energy_by_site,
+            counters,
+        )
     }
 
     /// Asserts the attribution invariant: the per-cause ledgers sum to the

@@ -52,6 +52,23 @@ impl Peripherals {
         }
     }
 
+    /// Whether these peripherals, from a run whose clock runs `shift_us`
+    /// ahead of `reference`'s, hold the same state: the same environment
+    /// and fault-plan attempt counters, and the same radio log with each
+    /// send time equal to the reference's either as is (sent before the
+    /// runs diverged) or exactly `shift_us` later.
+    pub fn matches_shifted(&self, reference: &Peripherals, shift_us: u64) -> bool {
+        let (mine, theirs) = (self.radio.packets(), reference.radio.packets());
+        self.env == reference.env
+            && self.faults == reference.faults
+            && mine.len() == theirs.len()
+            && mine.iter().zip(theirs).all(|(p, r)| {
+                p.payload == r.payload
+                    && (p.time_us == r.time_us
+                        || r.time_us.checked_add(shift_us) == Some(p.time_us))
+            })
+    }
+
     /// Creates peripherals with a transient-fault plan installed.
     pub fn with_fault_plan(env_seed: u64, plan: FaultPlan) -> Self {
         let mut p = Self::new(env_seed);

@@ -61,8 +61,9 @@ pub struct SweepTimingDoc {
     pub prune: Option<SweepPruneDoc>,
 }
 
-/// What injection-point equivalence pruning did to one sweep.
-#[derive(Debug, Clone)]
+/// What injection-point equivalence pruning, commit checkpoints and
+/// convergence cuts did to one sweep.
+#[derive(Debug, Clone, Default)]
 pub struct SweepPruneDoc {
     /// Whether pruning was enabled.
     pub enabled: bool,
@@ -72,8 +73,20 @@ pub struct SweepPruneDoc {
     pub injections_pruned: u64,
     /// Equivalence classes over the chosen boundaries.
     pub classes: u64,
-    /// The reference run observed wall-clock time, so nothing merged.
+    /// The reference run observed wall-clock time, so nothing merged and
+    /// nothing was cut.
     pub time_observed: bool,
+    /// Commit checkpoints captured on the reference run.
+    pub checkpoints: u64,
+    /// Executed injections resumed from a checkpoint.
+    pub resumed: u64,
+    /// Executed injections ended by a convergence cut.
+    pub cut: u64,
+    /// Energy-spend slices the executed injections simulated.
+    pub slices_executed: u64,
+    /// Per executed boundary: `(boundary, commit index resumed from (0 =
+    /// time zero), commit index of the cut or None)`.
+    pub provenance: Vec<(u64, u64, Option<u64>)>,
 }
 
 /// Fault-injection configuration of a sweep. Result identity, not
@@ -297,6 +310,25 @@ fn sweep_body(inp: &SweepInputs) -> Value {
                     ("injections_pruned".into(), Value::u64(p.injections_pruned)),
                     ("classes".into(), Value::u64(p.classes)),
                     ("time_observed".into(), Value::Bool(p.time_observed)),
+                    ("checkpoints".into(), Value::u64(p.checkpoints)),
+                    ("resumed".into(), Value::u64(p.resumed)),
+                    ("cut".into(), Value::u64(p.cut)),
+                    ("slices_executed".into(), Value::u64(p.slices_executed)),
+                    (
+                        "provenance".into(),
+                        Value::Arr(
+                            p.provenance
+                                .iter()
+                                .map(|&(b, from, cut)| {
+                                    Value::Arr(vec![
+                                        Value::u64(b),
+                                        Value::u64(from),
+                                        cut.map_or(Value::Null, Value::u64),
+                                    ])
+                                })
+                                .collect(),
+                        ),
+                    ),
                 ]),
             ));
         }
@@ -464,6 +496,30 @@ fn validate_sweep_body(v: &Value) -> Vec<String> {
             for k in ["enabled", "time_observed"] {
                 if !matches!(p.get(k), Some(Value::Bool(_))) {
                     errs.push(format!("'timing.prune.{k}' must be a bool"));
+                }
+            }
+            // Checkpoint/cut counters arrived later: optional, but typed
+            // when present.
+            for k in ["checkpoints", "resumed", "cut", "slices_executed"] {
+                if p.get(k).is_some_and(|v| v.as_u64().is_none()) {
+                    errs.push(format!("'timing.prune.{k}' must be an unsigned integer"));
+                }
+            }
+            if let Some(prov) = p.get("provenance") {
+                let entry_ok = |e: &Value| {
+                    e.as_arr().is_some_and(|e| {
+                        e.len() == 3
+                            && e[0].as_u64().is_some()
+                            && e[1].as_u64().is_some()
+                            && (e[2] == Value::Null || e[2].as_u64().is_some())
+                    })
+                };
+                if !prov.as_arr().is_some_and(|a| a.iter().all(entry_ok)) {
+                    errs.push(
+                        "'timing.prune.provenance' must be an array of \
+                         [boundary, resumed_from, cut_at|null] entries"
+                            .into(),
+                    );
                 }
             }
         }
@@ -638,6 +694,17 @@ mod tests {
             .expect("validate_any_report must accept the frozen document");
     }
 
+    /// Replaces `report.timing.prune.<key>` in a built document.
+    fn set_prune_field(doc: &mut Value, key: &str, v: Value) {
+        fn field<'a>(obj: &'a mut Value, k: &str) -> &'a mut Value {
+            match obj {
+                Value::Obj(fields) => &mut fields.iter_mut().find(|(n, _)| n == k).unwrap().1,
+                _ => panic!("not an object"),
+            }
+        }
+        *field(field(field(field(doc, "report"), "timing"), "prune"), key) = v;
+    }
+
     #[test]
     fn timing_is_emitted_validated_and_stripped_by_identity() {
         let mut inp = inputs();
@@ -657,10 +724,51 @@ mod tests {
                 injections_pruned: 30,
                 classes: 12,
                 time_observed: false,
+                checkpoints: 5,
+                resumed: 9,
+                cut: 7,
+                slices_executed: 640,
+                provenance: vec![(3, 0, None), (17, 2, Some(3))],
             }),
         });
         let doc = build_sweep_report(&inp);
         validate_sweep_report(&doc).unwrap();
+        let prune = doc
+            .get("report")
+            .and_then(|b| b.get("timing"))
+            .and_then(|t| t.get("prune"))
+            .unwrap();
+        assert_eq!(prune.get("cut").and_then(Value::as_u64), Some(7));
+        assert_eq!(
+            prune.get("provenance").map(|v| v.to_compact()),
+            Some("[[3,0,null],[17,2,3]]".to_string())
+        );
+        // Mistyped checkpoint/cut fields are violations.
+        for (key, bad) in [
+            ("slices_executed", Value::Str("640".into())),
+            (
+                "provenance",
+                Value::Arr(vec![Value::Arr(vec![Value::u64(3)])]),
+            ),
+            (
+                "provenance",
+                Value::Arr(vec![Value::Arr(vec![
+                    Value::u64(3),
+                    Value::u64(0),
+                    Value::Bool(false),
+                ])]),
+            ),
+        ] {
+            let mut tampered = doc.clone();
+            set_prune_field(&mut tampered, key, bad);
+            assert!(
+                validate_sweep_report(&tampered)
+                    .unwrap_err()
+                    .iter()
+                    .any(|e| e.contains(key)),
+                "a mistyped '{key}' must be reported"
+            );
+        }
         let body = doc.get("report").unwrap();
         assert_eq!(
             body.get("timing")

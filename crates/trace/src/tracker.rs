@@ -9,7 +9,7 @@
 use std::collections::{HashMap, HashSet};
 
 /// Tracks first completions of I/O and DMA sites per task activation.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ActivationTracker {
     io_done: HashSet<(u16, u16)>,
     dma_done: HashSet<(u16, u16)>,
@@ -54,6 +54,22 @@ impl ActivationTracker {
         self.io_done.retain(|(t, _)| *t != task);
         self.dma_done.retain(|(t, _)| *t != task);
     }
+
+    /// Whether this tracker, from a run whose clock runs `shift_us` ahead
+    /// of `reference`'s, holds the same state: identical completion sets
+    /// and last values, and every last-value timestamp equal to the
+    /// reference's either as is (recorded before the two runs diverged)
+    /// or exactly `shift_us` later (recorded in lockstep after).
+    pub fn matches_shifted(&self, reference: &ActivationTracker, shift_us: u64) -> bool {
+        self.io_done == reference.io_done
+            && self.dma_done == reference.dma_done
+            && self.last_io.len() == reference.last_io.len()
+            && self.last_io.iter().all(|(k, &(v, ts))| {
+                reference.last_io.get(k).is_some_and(|&(rv, rts)| {
+                    v == rv && (ts == rts || rts.checked_add(shift_us) == Some(ts))
+                })
+            })
+    }
 }
 
 #[cfg(test)]
@@ -77,6 +93,26 @@ mod tests {
         t.commit(0);
         assert!(t.first_io(0, 0), "fresh activation after commit");
         assert!(!t.first_io(1, 0), "other task untouched");
+    }
+
+    #[test]
+    fn shifted_match_accepts_unshifted_or_lockstep_timestamps_only() {
+        let mut a = ActivationTracker::new();
+        a.first_io(0, 0);
+        a.record_io_value(0, 0, 21, 400);
+        a.record_io_value(1, 0, 5, 100);
+        let mut b = a.clone();
+        b.record_io_value(0, 0, 21, 400 + 70);
+        assert!(
+            b.matches_shifted(&a, 70),
+            "lockstep entry plus a prefix entry"
+        );
+        assert!(!b.matches_shifted(&a, 69), "off by one microsecond");
+        b.record_io_value(0, 0, 22, 470);
+        assert!(!b.matches_shifted(&a, 70), "value differs");
+        let mut c = a.clone();
+        c.first_dma(1, 0);
+        assert!(!c.matches_shifted(&a, 0), "completion sets differ");
     }
 
     #[test]

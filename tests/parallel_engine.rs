@@ -13,7 +13,7 @@ use easeio_repro::apps::dma_app;
 use easeio_repro::apps::harness::RuntimeKind;
 use easeio_repro::easeio_trace::{
     build_sweep_report, identity_document, validate_any_report, FaultSpecDoc, ReportKind,
-    SweepInputs, SweepPruneDoc, SweepTimingDoc, SweepViolation, SweepWasteDoc, CATEGORY_NAMES,
+    SweepInputs, SweepTimingDoc, SweepViolation, SweepWasteDoc, CATEGORY_NAMES,
 };
 use easeio_repro::kernel::{App, FaultSpec};
 use easeio_repro::mcu_emu::Mcu;
@@ -76,13 +76,7 @@ fn report_for(out: &SweepOutcome, plan: &SweepPlan, timing: &SweepTiming) -> Str
             merge_us: timing.merge_us,
             injections_per_worker: timing.injections_per_worker.clone(),
             busy_us_per_worker: timing.busy_us_per_worker.clone(),
-            prune: Some(SweepPruneDoc {
-                enabled: timing.prune.enabled,
-                injections_executed: timing.prune.injections_executed,
-                injections_pruned: timing.prune.injections_pruned,
-                classes: timing.prune.classes,
-                time_observed: timing.prune.time_observed,
-            }),
+            prune: Some(timing.prune.clone()),
         }),
     };
     let doc = build_sweep_report(&inputs);
