@@ -120,25 +120,24 @@
 //! 1 = a verdict failed (safety violation, regression, duplicate,
 //! incomplete run), 2 = usage error or malformed input.
 
-use apps::harness::{golden, measure_footprint, run_once_faulted, run_traced_faulted, RuntimeKind};
-use crashcheck::{boundary_forensics, SweepMode, SweepOutcome, SweepPlan};
+use apps::harness::{golden, run_once_faulted, run_traced_faulted, RuntimeKind};
+use crashcheck::{SweepMode, SweepPlan};
+use easeio_exec::report::{
+    grid_report, metrics_entry, metrics_report, run_chrome_trace, run_report, sweep_bench,
+    sweep_forensics, sweep_report, sweep_utilization,
+};
 use easeio_exec::{
     run_grid, sweep_matrix, sweep_matrix_observed, AppSpec, DeviceSpec, GridSpec, ScenarioSpec,
-    SupplySpec, SweepEntry, SweepOptions, APP_NAMES,
+    SupplySpec, SweepEntry, SweepOptions, APP_NAMES, DEFAULT_RF_DISTANCE_IN,
 };
-use easeio_fleet::{find_air_duplicate, run_fleet, run_rollout, RolloutPolicy};
+use easeio_fleet::{run_fleet, run_rollout, RolloutPolicy};
 use easeio_trace::{
-    build_fleet_report, build_forensics_report, build_metrics_report, build_profile, build_report,
-    build_sweep_report, chrome_trace_with_counters, compare_metrics, flamegraph, flush_registered,
-    jsonl, parse_json, validate_any_report, validate_fleet_report, validate_forensics_report,
-    validate_metrics_report, CounterTrack, Event, EventKind, FaultSpecDoc, FleetInputs,
-    ForensicsInputs, ForensicsViolationDoc, FramDiffByte, FramDiffDoc, InstantKind, JsonlWriter,
-    MetricsEntry, MetricsInputs, Progress, ReportInputs, SiteWasteRow, SkippedApp, SpanKind,
-    SweepInputs, SweepTimingDoc, SweepViolation, SweepWasteDoc, TaskWasteRow, Value,
+    compare_metrics, flamegraph, flush_registered, jsonl, parse_json, validate_any_report, Event,
+    EventKind, InstantKind, JsonlWriter, Progress, Report, ReportBody, SkippedApp, SpanKind, Value,
     CATEGORY_NAMES,
 };
 use kernel::{App, Fault, FaultSpec, Outcome, Verdict};
-use mcu_emu::{CauseSample, Mcu, RunStats, Supply, DMA_SITE_BASE};
+use mcu_emu::{Mcu, Supply};
 use periph::MediumSpec;
 
 /// Warns (once per occurrence, on stderr) that a still-accepted flag
@@ -220,7 +219,7 @@ impl CommonOpts {
             source: None,
             kernel: "easeio".into(),
             supply: "timer".into(),
-            distance: 61,
+            distance: DEFAULT_RF_DISTANCE_IN,
             seed: None,
             runs: 1,
             jobs: 1,
@@ -300,26 +299,10 @@ where
     s.parse().map_err(|e| format!("{e}"))
 }
 
-fn parse_list(s: &str) -> Result<Vec<u64>, String> {
-    s.split(',')
-        .filter(|p| !p.is_empty())
-        .map(parse_num)
-        .collect()
-}
-
-fn supply_value(supply: SupplySpec) -> Value {
-    match supply {
-        SupplySpec::Continuous => Value::Obj(vec![("kind".into(), Value::str("continuous"))]),
-        SupplySpec::Timer => Value::Obj(vec![("kind".into(), Value::str("timer"))]),
-        SupplySpec::TimerOnMs(on_ms) => Value::Obj(vec![
-            ("kind".into(), Value::str("timer")),
-            ("on_ms".into(), Value::u64(on_ms)),
-        ]),
-        SupplySpec::Rf(d) => Value::Obj(vec![
-            ("kind".into(), Value::str("rf")),
-            ("distance_in".into(), Value::u64(d)),
-        ]),
-    }
+/// A comma-separated flag value, each item parsed by `item` (empty items
+/// skipped).
+fn parse_list<T>(s: &str, item: impl Fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
+    s.split(',').filter(|p| !p.is_empty()).map(item).collect()
 }
 
 fn print_trace(events: &[Event], dropped: u64) {
@@ -387,6 +370,26 @@ fn write_or_die(path: &str, contents: &str, what: &str) {
         eprintln!("error: cannot write {what} {path}: {e}");
         exit(ExitCode::Usage);
     }
+}
+
+/// Exits after a failed parse: the error (unless help was asked for),
+/// then `usage`; status 0 for `--help`, 2 otherwise.
+fn usage_exit(e: &str, usage: &str) -> ! {
+    if e != "help" {
+        eprintln!("error: {e}\n");
+    }
+    eprintln!("{usage}");
+    exit(if e == "help" {
+        ExitCode::Ok
+    } else {
+        ExitCode::Usage
+    })
+}
+
+/// Builds an app once on a scratch machine, so app and source errors exit 2
+/// before any long run starts.
+fn probe_or_die(build: impl FnOnce(&mut Mcu) -> Result<App, String>) -> App {
+    build(&mut Mcu::new(Supply::continuous())).unwrap_or_else(|e| die(&e))
 }
 
 fn die(msg: &str) -> ! {
@@ -471,38 +474,31 @@ fn observer(guard: &Option<ProgressGuard>) -> Option<&Progress> {
     guard.as_ref().map(|g| g.progress())
 }
 
-/// Validates and writes one `kind: "forensics"` bundle.
-fn write_forensics_or_die(path: &str, inputs: &ForensicsInputs) {
-    let doc = build_forensics_report(inputs);
-    if let Err(errs) = validate_forensics_report(&doc) {
-        eprintln!("error: built forensics bundle fails its own schema:");
-        for e in &errs {
-            eprintln!("  - {e}");
-        }
-        exit(ExitCode::VerdictFailure);
-    }
+/// Writes `doc` to `path` as pretty JSON and says so.
+fn write_json_or_die(path: &str, doc: &Value, what: &str) {
     let mut text = doc.to_pretty();
     text.push('\n');
-    write_or_die(path, &text, "forensics bundle");
-    println!("forensics bundle written to {path}");
+    write_or_die(path, &text, what);
+    println!("{what} written to {path}");
 }
 
-/// Validates and writes one `kind: "fleet"` report. The self-check runs
-/// before writing: a fleet document violating its own accounting
-/// invariants must never leave the process.
-fn write_fleet_report_or_die(path: &str, inputs: &FleetInputs) {
-    let doc = build_fleet_report(inputs);
-    if let Err(errs) = validate_fleet_report(&doc) {
-        eprintln!("error: built fleet report fails its own schema:");
+/// Renders `report` and checks it against its own schema: a document that
+/// fails it never leaves the process (exit 1).
+fn checked_or_die<T: ReportBody>(report: &Report<T>, what: &str) -> Value {
+    let doc = report.to_value();
+    if let Err(errs) = Report::<T>::validate(&doc) {
+        eprintln!("error: built {what} fails its own schema:");
         for e in &errs {
             eprintln!("  - {e}");
         }
         exit(ExitCode::VerdictFailure);
     }
-    let mut text = doc.to_pretty();
-    text.push('\n');
-    write_or_die(path, &text, "fleet report");
-    println!("fleet report written to {path}");
+    doc
+}
+
+/// The one way a report leaves the process: validated, then written.
+fn write_report_or_die<T: ReportBody>(path: &str, report: &Report<T>, what: &str) {
+    write_json_or_die(path, &checked_or_die(report, what), what);
 }
 
 /// Runs a fleet engine with the `--stream-out` writer attached, if one was
@@ -523,83 +519,6 @@ fn with_stream<T>(
     // `die` flushes every registered writer, so release this one first.
     drop(w);
     result.unwrap_or_else(|e| die(&e))
-}
-
-/// The app selector of a repro command (`--app NAME` or `--source PATH`).
-fn app_repro_flag(app: &AppSpec) -> String {
-    match app {
-        AppSpec::Named(n) => format!("--app {n}"),
-        AppSpec::Source(p) => format!("--source {p}"),
-    }
-}
-
-/// The fault-plan flags of a repro command, empty when faults are off.
-fn fault_repro_flags(fault: &FaultSpec) -> String {
-    match fault.plan {
-        Some(p) => format!(
-            " --fault-rate {} --fault-seed {} --max-retries {}",
-            p.rate_permille, p.seed, fault.retry.max_retries
-        ),
-        None => String::new(),
-    }
-}
-
-fn outcome_label(outcome: &Outcome) -> String {
-    match outcome {
-        Outcome::Completed => "completed".into(),
-        Outcome::NonTermination => "non_termination".into(),
-        Outcome::Fault(_) => "fault".into(),
-    }
-}
-
-/// Folds one run's attribution ledger into a metrics-report entry.
-fn metrics_entry(
-    runtime: &str,
-    app: &str,
-    outcome: &Outcome,
-    verdict: &Option<Verdict>,
-    stats: &RunStats,
-) -> MetricsEntry {
-    MetricsEntry {
-        runtime: runtime.into(),
-        app: app.into(),
-        outcome: outcome_label(outcome),
-        correct: *outcome == Outcome::Completed && !matches!(verdict, Some(Verdict::Incorrect(_))),
-        reboots: stats.power_failures,
-        total_time_us: stats.total_time_us(),
-        total_energy_nj: stats.total_energy_nj(),
-        cause_time_us: stats.cause_time_us,
-        cause_energy_nj: stats.cause_energy_nj,
-        tasks: stats
-            .cause_energy_by_task
-            .iter()
-            .map(|(task, energy)| TaskWasteRow {
-                task: *task,
-                energy_nj: *energy,
-            })
-            .collect(),
-        redundant_sites: stats
-            .redundant_energy_by_site
-            .iter()
-            .map(|(key, nj)| SiteWasteRow {
-                site: key & !DMA_SITE_BASE,
-                dma: key & DMA_SITE_BASE != 0,
-                energy_nj: *nj,
-            })
-            .collect(),
-    }
-}
-
-/// The cumulative per-cause energy samples as a Chrome counter track.
-fn cause_counter_track(samples: &[CauseSample]) -> CounterTrack {
-    CounterTrack {
-        name: "energy by cause (nJ)".into(),
-        series: CATEGORY_NAMES.iter().map(|n| (*n).to_string()).collect(),
-        samples: samples
-            .iter()
-            .map(|s| (s.ts_us, s.energy_nj.to_vec()))
-            .collect(),
-    }
 }
 
 fn read_json_or_die(path: &str) -> Value {
@@ -654,20 +573,8 @@ fn parse_metrics_args() -> Result<MetricsArgs, String> {
             }
             "--flame-out" => flame_out = Some(val("--flame-out")?),
             "--include-skipped" => include_skipped = true,
-            "--kernels" => {
-                kernels = val("--kernels")?
-                    .split(',')
-                    .filter(|p| !p.is_empty())
-                    .map(RuntimeKind::parse)
-                    .collect::<Result<_, _>>()?
-            }
-            "--apps" => {
-                apps = val("--apps")?
-                    .split(',')
-                    .filter(|p| !p.is_empty())
-                    .map(String::from)
-                    .collect()
-            }
+            "--kernels" => kernels = parse_list(&val("--kernels")?, RuntimeKind::parse)?,
+            "--apps" => apps = parse_list(&val("--apps")?, |a| Ok(a.to_string()))?,
             "--help" | "-h" => return Err("help".into()),
             other => return Err(format!("unknown metrics flag {other}")),
         }
@@ -687,24 +594,14 @@ fn parse_metrics_args() -> Result<MetricsArgs, String> {
 /// Purely virtual-time — the document is byte-identical across hosts and
 /// runs, which is what makes it committable as a CI baseline.
 fn metrics_main() -> ! {
-    let args = match parse_metrics_args() {
-        Ok(a) => a,
-        Err(e) => {
-            if e != "help" {
-                eprintln!("error: {e}\n");
-            }
-            eprintln!(
-                "usage: easeio-sim metrics [--seed N] [--metrics-out FILE.json]\n\
-                 \x20                         [--flame-out FILE.json] [--kernels a,b,c]\n\
-                 \x20                         [--apps x,y,z] [--include-skipped]"
-            );
-            exit(if e == "help" {
-                ExitCode::Ok
-            } else {
-                ExitCode::Usage
-            });
-        }
-    };
+    let args = parse_metrics_args().unwrap_or_else(|e| {
+        usage_exit(
+            &e,
+            "usage: easeio-sim metrics [--seed N] [--metrics-out FILE.json]\n\
+             \x20                         [--flame-out FILE.json] [--kernels a,b,c]\n\
+             \x20                         [--apps x,y,z] [--include-skipped]",
+        )
+    });
     // Partition the app list once, up front: apps the metrics supply cannot
     // run become explicit "skipped" rows (console + document) rather than
     // silently vanishing from the table.
@@ -730,17 +627,11 @@ fn metrics_main() -> ! {
     for kind in &args.kernels {
         for app_name in &runnable {
             let spec = AppSpec::Named(app_name.clone());
-            // Probe build: surface bad app names before the run.
-            {
-                let mut probe = Mcu::new(Supply::continuous());
-                if let Err(e) = spec.build(*kind, &mut probe) {
-                    die(&e);
-                }
-            }
+            probe_or_die(|m| spec.build(*kind, m));
             let build = |m: &mut Mcu| spec.build(*kind, m).unwrap();
             let supply = SupplySpec::Timer.make(args.seed);
             let r = run_once_faulted(&build, *kind, supply, args.seed, &FaultSpec::none());
-            let entry = metrics_entry(kind.name(), app_name, &r.outcome, &r.verdict, &r.stats);
+            let entry = metrics_entry(kind.name(), app_name, &r);
             let redundant: u64 = entry.redundant_sites.iter().map(|s| s.energy_nj).sum();
             println!(
                 "{:<8} {:<15} {:>12.2} {:>11.2} {:>6.1}% {:>13}",
@@ -758,32 +649,16 @@ fn metrics_main() -> ! {
             entries.push(entry);
         }
     }
-    let inputs = MetricsInputs {
-        seed: args.seed,
-        entries,
-        skipped,
-    };
-    let doc = build_metrics_report(&inputs);
-    // Self-check before anything is written: a document violating the
-    // attribution invariant must never become a baseline.
-    if let Err(errs) = validate_metrics_report(&doc) {
-        eprintln!("error: built metrics report fails its own schema:");
-        for e in &errs {
-            eprintln!("  - {e}");
-        }
-        exit(ExitCode::VerdictFailure);
-    }
-    if let Some(path) = &args.out {
-        let mut text = doc.to_pretty();
-        text.push('\n');
-        write_or_die(path, &text, "metrics report");
-        println!("metrics report written to {path}");
+    let report = metrics_report(args.seed, entries, skipped);
+    // Self-check before anything is written, the flamegraph included: a
+    // document violating the attribution invariant must never become a
+    // baseline.
+    match &args.out {
+        Some(path) => write_report_or_die(path, &report, "metrics report"),
+        None => drop(checked_or_die(&report, "metrics report")),
     }
     if let Some(path) = &args.flame_out {
-        let mut text = flamegraph(&inputs).to_pretty();
-        text.push('\n');
-        write_or_die(path, &text, "flamegraph");
-        println!("flamegraph written to {path}");
+        write_json_or_die(path, &flamegraph(&report.body), "flamegraph");
     }
     exit(ExitCode::Ok);
 }
@@ -932,140 +807,38 @@ fn parse_sweep_args() -> Result<SweepArgs, String> {
     })
 }
 
-/// The engine's determinism contract, checked at run time against the
-/// unpruned serial sweep: identical boundary bookkeeping, identical
-/// violations in identical order, and identical energy accounting — pruning
-/// must not perturb a single nanojoule.
-fn outcomes_diverge(a: &SweepOutcome, b: &SweepOutcome) -> Option<String> {
-    if a.oracle_boundaries != b.oracle_boundaries || a.injections != b.injections {
-        return Some(format!(
-            "boundary bookkeeping diverged: {}/{} vs {}/{} (oracle/injections)",
-            a.oracle_boundaries, a.injections, b.oracle_boundaries, b.injections
-        ));
-    }
-    if a.violations.len() != b.violations.len() {
-        return Some(format!(
-            "violation count diverged: {} vs {}",
-            a.violations.len(),
-            b.violations.len()
-        ));
-    }
-    for (x, y) in a.violations.iter().zip(&b.violations) {
-        if x.boundary != y.boundary || x.kind != y.kind || x.detail != y.detail {
-            return Some(format!(
-                "violation diverged at boundary {} vs {}: {:?} vs {:?}",
-                x.boundary, y.boundary, x.kind, y.kind
-            ));
-        }
-    }
-    if a.boundary_waste_nj != b.boundary_waste_nj {
-        let at = a
-            .boundary_waste_nj
-            .iter()
-            .zip(&b.boundary_waste_nj)
-            .position(|(x, y)| x != y);
-        return Some(format!(
-            "per-boundary waste diverged (first mismatch at injection index {at:?})"
-        ));
-    }
-    if a.cause_energy_nj != b.cause_energy_nj {
-        return Some(format!(
-            "per-cause energy diverged: {:?} vs {:?}",
-            a.cause_energy_nj, b.cause_energy_nj
-        ));
-    }
-    None
-}
-
-fn sweep_report_inputs(
-    out: &SweepOutcome,
-    plan: &SweepPlan,
-    timing: &easeio_exec::SweepTiming,
-) -> SweepInputs {
-    SweepInputs {
-        runtime: out.runtime.into(),
-        app: out.app.into(),
-        seed: plan.seed,
-        off_us: plan.off_us,
-        mode: plan.mode.name().into(),
-        oracle_boundaries: out.oracle_boundaries,
-        strict_memory: plan.strict_memory,
-        injections: out.injections,
-        violations: out
-            .violations
-            .iter()
-            .map(|v| SweepViolation {
-                boundary: v.boundary,
-                kind: v.kind.name().into(),
-                detail: v.detail.clone(),
-            })
-            .collect(),
-        fault_spec: plan.fault.plan.map(|p| FaultSpecDoc {
-            seed: p.seed,
-            rate_permille: p.rate_permille as u64,
-            max_retries: plan.fault.retry.max_retries as u64,
-            backoff_base_us: plan.fault.retry.backoff_base_us,
-        }),
-        waste: Some(SweepWasteDoc::from_series(
-            &out.boundary_waste_nj,
-            CATEGORY_NAMES
-                .iter()
-                .zip(out.cause_energy_nj)
-                .map(|(name, nj)| ((*name).to_string(), nj))
-                .collect(),
-        )),
-        timing: Some(SweepTimingDoc {
-            jobs: timing.jobs as u64,
-            wall_us: timing.wall_us,
-            injections_per_sec_milli: timing.injections_per_sec_milli,
-            oracle_us: timing.oracle_us,
-            classify_us: timing.classify_us,
-            inject_us: timing.inject_us,
-            merge_us: timing.merge_us,
-            injections_per_worker: timing.injections_per_worker.clone(),
-            busy_us_per_worker: timing.busy_us_per_worker.clone(),
-            prune: Some(timing.prune.clone()),
-        }),
-    }
-}
-
 fn sweep_main() -> ! {
-    let args = match parse_sweep_args() {
-        Ok(a) => a,
-        Err(e) => {
-            if e != "help" {
-                eprintln!("error: {e}\n");
-            }
-            eprintln!(
-                "usage: easeio-sim sweep [--app NAME | --all-apps] [--kernel NAME] [--jobs N]\n\
-                 \x20                       [--exhaustive | --sample N | --boundary N] [--seed N]\n\
-                 \x20                       [--off-us US] [--strict-memory] [--update-window]\n\
-                 \x20                       [--report-out FILE.json]\n\
-                 \x20                       [--fault-rate PM] [--fault-seed N] [--max-retries N]\n\
-                 \x20                       [--no-prune] [--bench-out BENCH_sweep.json]\n\
-                 \x20                       [--utilization-out FILE.json]\n\
-                 \x20                       [--forensics-out FILE.json]\n\
-                 \x20                       [--progress] [--progress-out FILE.jsonl]\n\
-                 \x20                       [--allow-violations] [--expect-violations]"
-            );
-            exit(if e == "help" {
-                ExitCode::Ok
-            } else {
-                ExitCode::Usage
-            });
-        }
-    };
+    let args = parse_sweep_args().unwrap_or_else(|e| {
+        usage_exit(
+            &e,
+            "usage: easeio-sim sweep [--app NAME | --all-apps] [--kernel NAME] [--jobs N]\n\
+             \x20                       [--exhaustive | --sample N | --boundary N] [--seed N]\n\
+             \x20                       [--off-us US] [--strict-memory] [--update-window]\n\
+             \x20                       [--report-out FILE.json]\n\
+             \x20                       [--fault-rate PM] [--fault-seed N] [--max-retries N]\n\
+             \x20                       [--no-prune] [--bench-out BENCH_sweep.json]\n\
+             \x20                       [--utilization-out FILE.json]\n\
+             \x20                       [--forensics-out FILE.json]\n\
+             \x20                       [--progress] [--progress-out FILE.jsonl]\n\
+             \x20                       [--allow-violations] [--expect-violations]",
+        )
+    });
     let sc = &args.sc;
-    let apps: Vec<AppSpec> = if args.all_apps {
+    // One scenario per swept app.
+    let specs: Vec<ScenarioSpec> = if args.all_apps {
         if sc.report_out.is_some() {
             die("--report-out is per-app; use --bench-out with --all-apps");
         }
         APP_NAMES
             .iter()
-            .map(|n| AppSpec::Named((*n).into()))
+            .map(|n| {
+                let mut spec = sc.clone();
+                spec.device.app = AppSpec::Named((*n).into());
+                spec
+            })
             .collect()
     } else {
-        vec![sc.device.app.clone()]
+        vec![sc.clone()]
     };
 
     let mode = match (args.boundary, args.sample) {
@@ -1073,58 +846,41 @@ fn sweep_main() -> ! {
         (None, Some(n)) => SweepMode::Sample(n),
         (None, None) => SweepMode::Exhaustive,
     };
-    // Probe-build every app up front: surface app/source errors before
-    // committing to a long sweep.
-    for app in &apps {
-        let mut probe = Mcu::new(Supply::continuous());
-        if let Err(e) = app.build(sc.device.kernel, &mut probe) {
-            die(&e);
-        }
+    for spec in &specs {
+        probe_or_die(|m| spec.build_app(m));
     }
-    let plans: Vec<SweepPlan> = apps
+    let builders: Vec<_> = specs
         .iter()
-        .map(|app| SweepPlan {
-            mode,
-            seed: sc.seed,
-            off_us: args.off_us,
-            strict_memory: args.strict_memory || app.is_deterministic(),
-            update_window: args.update_window,
-            env_seed: sc.seed,
-            fault: sc.device.fault,
-        })
+        .map(|spec| move |m: &mut Mcu| spec.build_app(m).expect("probe-built above"))
         .collect();
-    type AppBuilder = Box<dyn Fn(&mut Mcu) -> App + Sync>;
-    let builders: Vec<AppBuilder> = apps
+    let entries: Vec<SweepEntry> = specs
         .iter()
-        .map(|app| {
-            let kernel = sc.device.kernel;
-            let app = app.clone();
-            Box::new(move |m: &mut Mcu| app.build(kernel, m).unwrap()) as AppBuilder
-        })
-        .collect();
-    let entries: Vec<SweepEntry> = builders
-        .iter()
-        .zip(&plans)
-        .map(|(b, plan)| SweepEntry {
-            builder: b.as_ref(),
+        .zip(&builders)
+        .map(|(spec, builder)| SweepEntry {
+            builder,
             kind: sc.device.kernel,
-            plan: plan.clone(),
+            plan: SweepPlan {
+                mode,
+                seed: sc.seed,
+                off_us: args.off_us,
+                strict_memory: args.strict_memory || spec.device.app.is_deterministic(),
+                update_window: args.update_window,
+                env_seed: sc.seed,
+                fault: sc.device.fault,
+            },
         })
         .collect();
 
     // One worker pool serves the whole app matrix: workers are spawned once
     // and keep a warm machine per app, instead of paying a pool spawn/join
     // and a cold snapshot adoption per app.
+    let opts = SweepOptions {
+        jobs: sc.jobs,
+        prune: args.prune,
+    };
     let guard = ProgressGuard::start(args.progress, args.progress_out.as_deref());
     let started = std::time::Instant::now();
-    let results = sweep_matrix_observed(
-        &entries,
-        &SweepOptions {
-            jobs: sc.jobs,
-            prune: args.prune,
-        },
-        observer(&guard),
-    );
+    let results = sweep_matrix_observed(&entries, &opts, observer(&guard));
     let matrix_wall_us = (started.elapsed().as_micros() as u64).max(1);
     drop(guard);
 
@@ -1148,31 +904,19 @@ fn sweep_main() -> ! {
     };
 
     let mut total_violations = 0u64;
-    let mut total_injections = 0u64;
-    let mut total_executed = 0u64;
-    let mut total_pruned = 0u64;
-    let mut per_app = Vec::new();
-    let mut per_app_util = Vec::new();
-    let jobs_ran = results.first().map(|(_, t)| t.jobs).unwrap_or(1);
-    let mut busy_us_per_worker = vec![0u64; jobs_ran];
-    let mut injections_per_worker = vec![0u64; jobs_ran];
     for (i, (out, timing)) in results.iter().enumerate() {
-        let plan = &plans[i];
-        let serial_wall_us = match &serial_results {
-            Some((serial, _)) => {
-                if let Some(why) = outcomes_diverge(&serial[i].0, out) {
-                    eprintln!(
-                        "error: unpruned serial and --jobs {}{} sweeps of {} diverged: {why}",
-                        sc.jobs,
-                        if args.prune { " pruned" } else { "" },
-                        apps[i].label()
-                    );
-                    exit(ExitCode::VerdictFailure);
-                }
-                Some(serial[i].1.wall_us)
+        if let Some((serial, _)) = &serial_results {
+            if serial[i].0 != *out {
+                eprintln!(
+                    "error: unpruned serial and --jobs {}{} sweeps of {} diverged",
+                    sc.jobs,
+                    if args.prune { " pruned" } else { "" },
+                    specs[i].device.app.label()
+                );
+                exit(ExitCode::VerdictFailure);
             }
-            None => None,
-        };
+        }
+        let plan = &out.config;
         println!(
             "sweep: {} under {} — {} boundaries, {} injections ({}), seed {}, outage {} µs{}{}, \
              {} job(s), {:.2} ms wall ({} inj/s), {} run / {} pruned, {} resumed / {} cut",
@@ -1217,236 +961,50 @@ fn sweep_main() -> ! {
             out.violations.len(),
             out.injections
         );
-        let waste = SweepWasteDoc::from_series(&out.boundary_waste_nj, vec![]);
-        println!(
-            "sweep waste: mean {} nJ, p95 {} nJ, max {} nJ per boundary",
-            waste.mean_waste_nj, waste.p95_waste_nj, waste.max_waste_nj
-        );
+        let report = sweep_report(out, timing);
+        if let Some(w) = &report.body.waste {
+            println!(
+                "sweep waste: mean {} nJ, p95 {} nJ, max {} nJ per boundary",
+                w.mean_waste_nj, w.p95_waste_nj, w.max_waste_nj
+            );
+        }
         if let Some(path) = &sc.report_out {
-            let inputs = sweep_report_inputs(out, plan, timing);
-            let mut doc = build_sweep_report(&inputs).to_pretty();
-            doc.push('\n');
-            write_or_die(path, &doc, "sweep report");
-            println!("sweep report written to {path}");
+            write_report_or_die(path, &report, "sweep report");
         }
         total_violations += out.violations.len() as u64;
-        total_injections += out.injections;
-        total_executed += timing.prune.injections_executed;
-        total_pruned += timing.prune.injections_pruned;
-        for w in 0..timing.jobs.min(jobs_ran) {
-            busy_us_per_worker[w] += timing.busy_us_per_worker[w];
-            injections_per_worker[w] += timing.injections_per_worker[w];
-        }
-        let mut entry = vec![
-            ("app".into(), Value::str(out.app)),
-            ("runtime".into(), Value::str(out.runtime)),
-            ("injections".into(), Value::u64(out.injections)),
-            (
-                "injections_executed".into(),
-                Value::u64(timing.prune.injections_executed),
-            ),
-            (
-                "injections_pruned".into(),
-                Value::u64(timing.prune.injections_pruned),
-            ),
-            ("violations".into(), Value::u64(out.violations.len() as u64)),
-            ("checkpoints".into(), Value::u64(timing.prune.checkpoints)),
-            ("resumed".into(), Value::u64(timing.prune.resumed)),
-            ("cut".into(), Value::u64(timing.prune.cut)),
-            (
-                "slices_executed".into(),
-                Value::u64(timing.prune.slices_executed),
-            ),
-            // Summed worker busy time on this app's batches, not elapsed
-            // time: apps share one pool, so their spans overlap.
-            ("busy_us".into(), Value::u64(timing.wall_us)),
-        ];
-        if let Some(rate) = timing.injections_per_sec_milli {
-            entry.push(("injections_per_sec_milli".into(), Value::u64(rate)));
-        }
-        // Per-app times sum worker busy spans, which preemption inflates
-        // when workers outnumber cores — so the honest speedup (elapsed vs
-        // elapsed) is reported only at the matrix level, never per app.
-        if let Some(serial) = serial_wall_us {
-            entry.push(("serial_wall_us".into(), Value::u64(serial)));
-        }
-        per_app.push(Value::Obj(entry));
-        per_app_util.push(Value::Obj(vec![
-            ("app".into(), Value::str(out.app)),
-            ("runtime".into(), Value::str(out.runtime)),
-            (
-                "injections_per_worker".into(),
-                Value::Arr(
-                    timing
-                        .injections_per_worker
-                        .iter()
-                        .map(|&n| Value::u64(n))
-                        .collect(),
-                ),
-            ),
-            (
-                "busy_us_per_worker".into(),
-                Value::Arr(
-                    timing
-                        .busy_us_per_worker
-                        .iter()
-                        .map(|&n| Value::u64(n))
-                        .collect(),
-                ),
-            ),
-        ]));
     }
 
     if let Some(path) = &args.forensics_out {
-        // The bundle documents the sweep's *first* violation in entry
-        // order: boundary + spend-seq coordinates, fault plan, capped FRAM
-        // diff against the continuous-power oracle, and a `--boundary`
-        // repro command that re-executes exactly that injection.
-        match results
-            .iter()
-            .enumerate()
-            .find_map(|(i, (out, _))| out.violations.first().map(|v| (i, out, v)))
-        {
-            Some((i, out, v)) => {
-                let plan = &plans[i];
-                let f =
-                    boundary_forensics(builders[i].as_ref(), sc.device.kernel, plan, v.boundary);
-                let mut repro = format!(
-                    "easeio-sim sweep {} --kernel {} --seed {} --off-us {} --boundary {}",
-                    app_repro_flag(&apps[i]),
-                    sc.device.kernel.cli_name(),
-                    plan.seed,
-                    plan.off_us,
-                    v.boundary
-                );
-                if plan.strict_memory {
-                    repro.push_str(" --strict-memory");
-                }
-                repro.push_str(&fault_repro_flags(&plan.fault));
-                repro.push_str(" --expect-violations");
-                let inputs = ForensicsInputs {
-                    source: "sweep".into(),
-                    runtime: out.runtime.into(),
-                    app: out.app.into(),
-                    seed: plan.seed,
-                    violation: ForensicsViolationDoc {
-                        kind: v.kind.name().into(),
-                        detail: v.detail.clone(),
-                        boundary: Some(v.boundary),
-                        spend_seq: f.spend_seq,
-                        device: None,
-                        wave: None,
-                    },
-                    fault_spec: plan.fault.plan.map(|p| FaultSpecDoc {
-                        seed: p.seed,
-                        rate_permille: p.rate_permille as u64,
-                        max_retries: plan.fault.retry.max_retries as u64,
-                        backoff_base_us: plan.fault.retry.backoff_base_us,
-                    }),
-                    context: vec![
-                        ("oracle_boundaries".into(), f.oracle_boundaries),
-                        ("injections".into(), out.injections),
-                        ("violations".into(), out.violations.len() as u64),
-                        ("off_us".into(), plan.off_us),
-                        ("strict_memory".into(), plan.strict_memory as u64),
-                        ("update_window".into(), plan.update_window as u64),
-                    ],
-                    fram_diff: (f.divergent_bytes > 0).then(|| FramDiffDoc {
-                        divergent_bytes: f.divergent_bytes,
-                        first: f
-                            .fram_diff
-                            .iter()
-                            .map(|&(addr, oracle, observed)| FramDiffByte {
-                                addr,
-                                oracle,
-                                observed,
-                            })
-                            .collect(),
-                    }),
-                    repro_command: repro,
-                };
-                write_forensics_or_die(path, &inputs);
-            }
+        // The bundle documents the sweep's *first* violation in entry order.
+        let bundle =
+            (results.iter().zip(&specs)).find_map(|((out, _), spec)| sweep_forensics(spec, out));
+        match bundle {
+            Some(b) => write_report_or_die(path, &b, "forensics bundle"),
             None => println!("forensics: no violations — nothing written to {path}"),
         }
     }
 
     if let Some(path) = &args.bench_out {
-        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let mut fields = vec![
-            ("tool".into(), Value::str("easeio-sim sweep")),
-            ("nproc".into(), Value::u64(nproc as u64)),
-            ("jobs".into(), Value::u64(sc.jobs as u64)),
-            ("mode".into(), Value::str(mode.name())),
-            ("seed".into(), Value::u64(sc.seed)),
-            ("prune".into(), Value::Bool(args.prune)),
-            ("injections".into(), Value::u64(total_injections)),
-            ("injections_executed".into(), Value::u64(total_executed)),
-            ("injections_pruned".into(), Value::u64(total_pruned)),
-            ("violations".into(), Value::u64(total_violations)),
-            ("wall_us".into(), Value::u64(matrix_wall_us)),
-            (
-                "injections_per_sec_milli".into(),
-                Value::u64(
-                    (total_injections * 1_000_000_000)
-                        .checked_div(matrix_wall_us)
-                        .unwrap_or(0),
-                ),
-            ),
-        ];
-        if let Some((_, serial_wall_us)) = &serial_results {
-            fields.push(("serial_wall_us".into(), Value::u64(*serial_wall_us)));
-            fields.push((
-                "speedup_milli".into(),
-                Value::u64(
-                    (serial_wall_us * 1000)
-                        .checked_div(matrix_wall_us)
-                        .unwrap_or(0),
-                ),
-            ));
+        let serial = serial_results
+            .as_ref()
+            .map(|(s, wall)| (s.as_slice(), *wall));
+        if let Some((_, serial_wall_us)) = serial {
             println!(
                 "sweep bench: --jobs {}{} is {:.2}x serial-unpruned ({:.1} ms vs {:.1} ms)",
                 sc.jobs,
                 if args.prune { " with pruning" } else { "" },
-                *serial_wall_us as f64 / matrix_wall_us as f64,
+                serial_wall_us as f64 / matrix_wall_us as f64,
                 matrix_wall_us as f64 / 1000.0,
-                *serial_wall_us as f64 / 1000.0
+                serial_wall_us as f64 / 1000.0
             );
         }
-        fields.push(("apps".into(), Value::Arr(per_app)));
-        let doc = Value::Obj(fields);
-        let mut text = doc.to_pretty();
-        text.push('\n');
-        write_or_die(path, &text, "sweep bench");
-        println!("sweep bench written to {path}");
+        let doc = sweep_bench(&results, &opts, mode, sc.seed, matrix_wall_us, serial);
+        write_json_or_die(path, &doc, "sweep bench");
     }
 
     if let Some(path) = &args.utilization_out {
-        // Per-worker utilization of the shared pool, totalled and per app —
-        // the CI artifact that shows where --jobs N actually went.
-        let doc = Value::Obj(vec![
-            ("tool".into(), Value::str("easeio-sim sweep")),
-            ("jobs".into(), Value::u64(jobs_ran as u64)),
-            ("wall_us".into(), Value::u64(matrix_wall_us)),
-            (
-                "injections_per_worker".into(),
-                Value::Arr(
-                    injections_per_worker
-                        .iter()
-                        .map(|&n| Value::u64(n))
-                        .collect(),
-                ),
-            ),
-            (
-                "busy_us_per_worker".into(),
-                Value::Arr(busy_us_per_worker.iter().map(|&n| Value::u64(n)).collect()),
-            ),
-            ("apps".into(), Value::Arr(per_app_util)),
-        ]);
-        let mut text = doc.to_pretty();
-        text.push('\n');
-        write_or_die(path, &text, "sweep utilization");
-        println!("sweep utilization written to {path}");
+        let doc = sweep_utilization(&results, matrix_wall_us);
+        write_json_or_die(path, &doc, "sweep utilization");
     }
 
     if args.expect_violations {
@@ -1481,17 +1039,9 @@ fn parse_grid_args() -> Result<GridArgs, String> {
         }
         let mut val = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         match flag.as_str() {
-            "--kernels" => {
-                kernels = Some(
-                    val("--kernels")?
-                        .split(',')
-                        .filter(|p| !p.is_empty())
-                        .map(RuntimeKind::parse)
-                        .collect::<Result<_, _>>()?,
-                )
-            }
-            "--distances" => distances = Some(parse_list(&val("--distances")?)?),
-            "--on-times" => on_times = parse_list(&val("--on-times")?)?,
+            "--kernels" => kernels = Some(parse_list(&val("--kernels")?, RuntimeKind::parse)?),
+            "--distances" => distances = Some(parse_list(&val("--distances")?, parse_num)?),
+            "--on-times" => on_times = parse_list(&val("--on-times")?, parse_num)?,
             "--help" | "-h" => return Err("help".into()),
             other => return Err(format!("unknown grid flag {other}")),
         }
@@ -1517,33 +1067,18 @@ fn parse_grid_args() -> Result<GridArgs, String> {
 }
 
 fn grid_main() -> ! {
-    let args = match parse_grid_args() {
-        Ok(a) => a,
-        Err(e) => {
-            if e != "help" {
-                eprintln!("error: {e}\n");
-            }
-            eprintln!(
-                "usage: easeio-sim grid [--app NAME] [--kernels a,b,c] [--distances d1,d2,..]\n\
-                 \x20                      [--on-times m1,m2,..] [--runs N] [--seed N] [--jobs N]\n\
-                 \x20                      [--fault-rate PM] [--fault-seed N] [--max-retries N]\n\
-                 \x20                      [--report-out FILE.json]"
-            );
-            exit(if e == "help" {
-                ExitCode::Ok
-            } else {
-                ExitCode::Usage
-            });
-        }
-    };
+    let args = parse_grid_args().unwrap_or_else(|e| {
+        usage_exit(
+            &e,
+            "usage: easeio-sim grid [--app NAME] [--kernels a,b,c] [--distances d1,d2,..]\n\
+             \x20                      [--on-times m1,m2,..] [--runs N] [--seed N] [--jobs N]\n\
+             \x20                      [--fault-rate PM] [--fault-seed N] [--max-retries N]\n\
+             \x20                      [--report-out FILE.json]",
+        )
+    });
     let sc = &args.sc;
-    // Probe build once (grid apps must build under every kernel the same).
-    {
-        let mut probe = Mcu::new(Supply::continuous());
-        if let Err(e) = sc.device.app.build(RuntimeKind::EaseIo, &mut probe) {
-            die(&e);
-        }
-    }
+    // Once: grid apps build the same under every kernel.
+    probe_or_die(|m| sc.device.app.build(RuntimeKind::EaseIo, m));
     let app = &sc.device.app;
     let builder = |kind: RuntimeKind, m: &mut Mcu| app.build(kind, m).unwrap();
     let (cells, stats) = run_grid(&builder, &args.spec, sc.jobs);
@@ -1572,38 +1107,11 @@ fn grid_main() -> ! {
         );
     }
     if let Some(path) = &sc.report_out {
-        let rows = cells
-            .iter()
-            .map(|c| {
-                Value::Obj(vec![
-                    ("kernel".into(), Value::str(c.kernel)),
-                    ("supply".into(), Value::str(c.supply.clone())),
-                    ("completed".into(), Value::u64(c.completed)),
-                    ("correct".into(), Value::u64(c.correct)),
-                    ("mean_wall_us".into(), Value::u64(c.mean_wall_us)),
-                    ("mean_on_us".into(), Value::u64(c.mean_on_us)),
-                    ("mean_failures".into(), Value::u64(c.mean_failures)),
-                ])
-            })
-            .collect();
-        let doc = Value::Obj(vec![
-            ("tool".into(), Value::str("easeio-sim grid")),
-            ("app".into(), Value::str(app.label().to_string())),
-            ("runs".into(), Value::u64(args.spec.runs)),
-            ("seed".into(), Value::u64(args.spec.seed)),
-            ("cells".into(), Value::Arr(rows)),
-            (
-                "timing".into(),
-                Value::Obj(vec![
-                    ("jobs".into(), Value::u64(stats.jobs as u64)),
-                    ("wall_us".into(), Value::u64(stats.wall_us)),
-                ]),
-            ),
-        ]);
-        let mut text = doc.to_pretty();
-        text.push('\n');
-        write_or_die(path, &text, "grid report");
-        println!("grid report written to {path}");
+        write_json_or_die(
+            path,
+            &grid_report(app, &args.spec, &cells, &stats),
+            "grid report",
+        );
     }
     exit(ExitCode::Ok);
 }
@@ -1775,64 +1283,11 @@ fn rollout_main(args: &FleetArgs, policy: &RolloutPolicy) -> ! {
         );
     }
     if let Some(path) = &sc.report_out {
-        write_fleet_report_or_die(path, &r.report_inputs(sc));
+        write_report_or_die(path, &Report::new(r.report_inputs(sc)), "fleet report");
     }
     if let Some(path) = &args.forensics_out {
-        match &r.first_violation {
-            Some(v) => {
-                let mut repro = format!(
-                    "easeio-sim fleet --rollout --devices {} --kernel {} --seed {} \
-                     --wave-size {} --target-seq {} --loss {} --medium-seed {}",
-                    sc.count,
-                    sc.device.kernel.cli_name(),
-                    sc.seed,
-                    s.wave_size,
-                    s.target_seq,
-                    sc.medium.loss_permille,
-                    sc.medium.seed,
-                );
-                if !policy.abort_on_regression {
-                    repro.push_str(" --no-abort");
-                }
-                repro.push_str(&fault_repro_flags(&sc.device.fault));
-                repro.push_str(" --expect-update-violations");
-                let inputs = ForensicsInputs {
-                    source: "rollout".into(),
-                    runtime: sc.device.kernel.name().into(),
-                    app: sc.device.app.label().to_string(),
-                    seed: sc.seed,
-                    violation: ForensicsViolationDoc {
-                        kind: v.kind.label().into(),
-                        detail: format!(
-                            "device {} tripped the {} probe during wave {}",
-                            v.device,
-                            v.kind.label(),
-                            v.wave + 1
-                        ),
-                        boundary: None,
-                        spend_seq: None,
-                        device: Some(v.device as u64),
-                        wave: Some(v.wave as u64 + 1),
-                    },
-                    fault_spec: sc.device.fault.plan.map(|p| FaultSpecDoc {
-                        seed: p.seed,
-                        rate_permille: p.rate_permille as u64,
-                        max_retries: sc.device.fault.retry.max_retries as u64,
-                        backoff_base_us: sc.device.fault.retry.backoff_base_us,
-                    }),
-                    context: vec![
-                        ("devices".into(), sc.count as u64),
-                        ("waves".into(), s.waves),
-                        ("wave_size".into(), s.wave_size),
-                        ("target_seq".into(), s.target_seq),
-                        ("version_torn".into(), s.version_torn),
-                        ("duplicate_activations".into(), s.duplicate_activations),
-                    ],
-                    fram_diff: None,
-                    repro_command: repro,
-                };
-                write_forensics_or_die(path, &inputs);
-            }
+        match r.forensics(sc, policy) {
+            Some(b) => write_report_or_die(path, &b, "forensics bundle"),
             None => println!("forensics: no update-safety violations — nothing written to {path}"),
         }
     }
@@ -1856,31 +1311,21 @@ fn rollout_main(args: &FleetArgs, policy: &RolloutPolicy) -> ! {
 }
 
 fn fleet_main() -> ! {
-    let args = match parse_fleet_args() {
-        Ok(a) => a,
-        Err(e) => {
-            if e != "help" {
-                eprintln!("error: {e}\n");
-            }
-            eprintln!(
-                "usage: easeio-sim fleet [--devices N] [--app NAME] [--kernel NAME] [--jobs N]\n\
-                 \x20                       [--supply continuous|timer|rf] [--seed N]\n\
-                 \x20                       [--loss PM] [--medium-seed N] [--airtime-base-us US]\n\
-                 \x20                       [--airtime-word-us US] [--report-out FILE.json]\n\
-                 \x20                       [--fault-rate PM] [--fault-seed N] [--max-retries N]\n\
-                 \x20                       [--stream-out FILE.jsonl] [--forensics-out FILE.json]\n\
-                 \x20                       [--progress] [--progress-out FILE.jsonl]\n\
-                 \x20                       [--allow-duplicates | --expect-duplicates]\n\
-                 \x20                       [--rollout [--wave-size N] [--target-seq N]\n\
-                 \x20                        [--no-abort] [--expect-update-violations]]"
-            );
-            exit(if e == "help" {
-                ExitCode::Ok
-            } else {
-                ExitCode::Usage
-            });
-        }
-    };
+    let args = parse_fleet_args().unwrap_or_else(|e| {
+        usage_exit(
+            &e,
+            "usage: easeio-sim fleet [--devices N] [--app NAME] [--kernel NAME] [--jobs N]\n\
+             \x20                       [--supply continuous|timer|rf] [--seed N]\n\
+             \x20                       [--loss PM] [--medium-seed N] [--airtime-base-us US]\n\
+             \x20                       [--airtime-word-us US] [--report-out FILE.json]\n\
+             \x20                       [--fault-rate PM] [--fault-seed N] [--max-retries N]\n\
+             \x20                       [--stream-out FILE.jsonl] [--forensics-out FILE.json]\n\
+             \x20                       [--progress] [--progress-out FILE.jsonl]\n\
+             \x20                       [--allow-duplicates | --expect-duplicates]\n\
+             \x20                       [--rollout [--wave-size N] [--target-seq N]\n\
+             \x20                        [--no-abort] [--expect-update-violations]]",
+        )
+    });
     if let Some(policy) = &args.rollout {
         rollout_main(&args, policy);
     }
@@ -1952,57 +1397,11 @@ fn fleet_main() -> ! {
         );
     }
     if let Some(path) = &sc.report_out {
-        write_fleet_report_or_die(path, &r.report_inputs(sc));
+        write_report_or_die(path, &Report::new(r.report_inputs(sc)), "fleet report");
     }
     if let Some(path) = &args.forensics_out {
-        match find_air_duplicate(r.packets.iter().map(|(d, p)| (*d, p.as_slice()))) {
-            Some(d) => {
-                let mut repro = format!(
-                    "easeio-sim fleet --devices {} {} --kernel {} --seed {} \
-                     --loss {} --medium-seed {}",
-                    sc.count,
-                    app_repro_flag(&sc.device.app),
-                    sc.device.kernel.cli_name(),
-                    sc.seed,
-                    sc.medium.loss_permille,
-                    sc.medium.seed,
-                );
-                repro.push_str(&fault_repro_flags(&sc.device.fault));
-                repro.push_str(" --expect-duplicates");
-                let inputs = ForensicsInputs {
-                    source: "fleet".into(),
-                    runtime: sc.device.kernel.name().into(),
-                    app: sc.device.app.label().to_string(),
-                    seed: sc.seed,
-                    violation: ForensicsViolationDoc {
-                        kind: "air_duplicate".into(),
-                        detail: format!(
-                            "device {} transmitted identity {} twice \
-                             (packets {} and {}) — Single semantics violated",
-                            d.device, d.seq, d.first_index, d.dup_index
-                        ),
-                        boundary: None,
-                        spend_seq: None,
-                        device: Some(d.device as u64),
-                        wave: None,
-                    },
-                    fault_spec: sc.device.fault.plan.map(|p| FaultSpecDoc {
-                        seed: p.seed,
-                        rate_permille: p.rate_permille as u64,
-                        max_retries: sc.device.fault.retry.max_retries as u64,
-                        backoff_base_us: sc.device.fault.retry.backoff_base_us,
-                    }),
-                    context: vec![
-                        ("devices".into(), sc.count as u64),
-                        ("transmissions".into(), g.transmissions),
-                        ("air_duplicates".into(), g.air_duplicates),
-                        ("loss_permille".into(), sc.medium.loss_permille as u64),
-                    ],
-                    fram_diff: None,
-                    repro_command: repro,
-                };
-                write_forensics_or_die(path, &inputs);
-            }
+        match r.forensics(sc) {
+            Some(b) => write_report_or_die(path, &b, "forensics bundle"),
             None => println!("forensics: no air duplicates — nothing written to {path}"),
         }
     }
@@ -2071,45 +1470,33 @@ fn main() {
         Some("compare") => compare_main(),
         _ => {}
     }
-    let args = match parse_run_args() {
-        Ok(a) => a,
-        Err(e) => {
-            if e != "help" {
-                eprintln!("error: {e}\n");
-            }
-            eprintln!(
-                "usage: easeio-sim [--app dma|temp|lea|fir|fir-long|weather|weather-single\n\
-                 \x20                       |branch|motion|flaky-radio]\n\
+    let args = parse_run_args().unwrap_or_else(|e| {
+        usage_exit(
+            &e,
+            &format!(
+                "usage: easeio-sim [--app {}]\n\
                  \x20                 [--kernel naive|alpaca|ink|easeio|easeio-op]\n\
                  \x20                 [--supply continuous|timer|rf] [--seed N] [--runs N]\n\
                  \x20                 [--distance INCHES] [--trace] [--trace-out FILE.json|.jsonl]\n\
                  \x20                 [--fault-rate PM] [--fault-seed N] [--max-retries N]\n\
-                 \x20                 [--report-out FILE.json] [--validate-report FILE.json]\n\
+                 \x20                 [--report-out FILE.json] [--metrics-out FILE.json]\n\
+                 \x20                 [--validate-report FILE.json]\n\
                  \x20                 [--source prog.eio [--emit-transform]]\n\
                  \x20      easeio-sim sweep --help\n\
                  \x20      easeio-sim grid --help\n\
-                 \x20      easeio-sim fleet --help"
-            );
-            exit(if e == "help" {
-                ExitCode::Ok
-            } else {
-                ExitCode::Usage
-            });
-        }
-    };
+                 \x20      easeio-sim fleet --help\n\
+                 \x20      easeio-sim metrics --help\n\
+                 \x20      easeio-sim compare --help",
+                APP_NAMES.join("|")
+            ),
+        )
+    });
     let sc = &args.sc;
 
     // Standalone schema check: no simulation at all. Accepts v1 and v2
     // documents of either kind through the single validator entry point.
     if let Some(path) = &args.validate {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: {path}: {e}");
-            exit(ExitCode::Usage)
-        });
-        let doc = parse_json(&text).unwrap_or_else(|e| {
-            eprintln!("error: {path}: invalid JSON: {e}");
-            exit(ExitCode::Usage)
-        });
+        let doc = read_json_or_die(path);
         match validate_any_report(&doc) {
             Ok(kind) => {
                 let version = doc
@@ -2158,14 +1545,7 @@ fn main() {
     if single {
         // Single traced run.
         let supply = sc.supply.make(sc.seed);
-        // Probe build: surfaces app/source errors before committing to a run.
-        let app_name = {
-            let mut probe = Mcu::new(Supply::continuous());
-            match sc.build_app(&mut probe) {
-                Ok(app) => app.name,
-                Err(e) => die(&e),
-            }
-        };
+        let app_name = probe_or_die(|m| sc.build_app(m)).name;
         let build = |m: &mut Mcu| sc.build_app(m).unwrap();
         let r = run_traced_faulted(&build, kind, supply, sc.seed, &sc.device.fault);
         println!(
@@ -2244,13 +1624,7 @@ fn main() {
             let contents = if path.ends_with(".jsonl") {
                 jsonl(&r.events)
             } else {
-                let counters = [cause_counter_track(&r.cause_samples)];
-                let mut s = chrome_trace_with_counters(
-                    &r.events,
-                    &format!("{} on {}", app_name, kind.name()),
-                    &counters,
-                )
-                .to_pretty();
+                let mut s = run_chrome_trace(sc, app_name, &r).to_pretty();
                 s.push('\n');
                 s
             };
@@ -2258,61 +1632,13 @@ fn main() {
             println!("trace written to {path} ({} events)", r.events.len());
         }
         if let Some(path) = &sc.report_out {
-            let profile = build_profile(&r.events);
-            let fp = measure_footprint(&build, kind, sc.seed);
-            let inputs = ReportInputs {
-                runtime: kind.name().into(),
-                app: app_name.into(),
-                supply: supply_value(sc.supply),
-                seed: sc.seed,
-                outcome: match r.outcome {
-                    Outcome::Completed => "completed".into(),
-                    Outcome::NonTermination => "non_termination".into(),
-                    Outcome::Fault(_) => "fault".into(),
-                },
-                correct: r.verdict.as_ref().map(|v| matches!(v, Verdict::Correct)),
-                wall_us: r.wall_us,
-                on_us: r.on_us,
-                app_time_us: r.stats.app_time_us,
-                overhead_time_us: r.stats.overhead_time_us,
-                app_energy_nj: r.stats.app_energy_nj,
-                overhead_energy_nj: r.stats.overhead_energy_nj,
-                golden_app_time_us: golden_us,
-                golden_app_energy_nj: golden_nj,
-                power_failures: r.stats.power_failures,
-                task_attempts: r.stats.task_attempts,
-                task_commits: r.stats.task_commits,
-                io_executed: r.stats.io_executed,
-                io_skipped: r.stats.io_skipped,
-                io_reexecutions: r.stats.io_reexecutions,
-                dma_executed: r.stats.dma_executed,
-                dma_skipped: r.stats.dma_skipped,
-                dma_reexecutions: r.stats.dma_reexecutions,
-                memory: Some((fp.text, fp.ram, fp.fram)),
-                events_recorded: r.events.len() as u64,
-                events_dropped: r.events_dropped,
-            };
-            let mut doc = build_report(&inputs, &profile).to_pretty();
-            doc.push('\n');
-            write_or_die(path, &doc, "report");
-            println!("report written to {path}");
+            let report = run_report(sc, app_name, &r, (golden_us, golden_nj));
+            write_report_or_die(path, &report, "report");
         }
         if let Some(path) = &args.metrics_out {
-            let inputs = MetricsInputs {
-                seed: sc.seed,
-                entries: vec![metrics_entry(
-                    kind.name(),
-                    app_name,
-                    &r.outcome,
-                    &r.verdict,
-                    &r.stats,
-                )],
-                skipped: Vec::new(),
-            };
-            let mut doc = build_metrics_report(&inputs).to_pretty();
-            doc.push('\n');
-            write_or_die(path, &doc, "metrics report");
-            println!("metrics report written to {path}");
+            let entry = metrics_entry(kind.name(), app_name, &r);
+            let report = metrics_report(sc.seed, vec![entry], Vec::new());
+            write_report_or_die(path, &report, "metrics report");
         }
         if let Outcome::Fault(e) = &r.outcome {
             // Typed abort message: an unrecoverable I/O fault (retries

@@ -1,6 +1,13 @@
 //! End-to-end checks of the `easeio-sim` binary: what a fleet run leaves
-//! on disk, and typed exit codes for hostile input.
+//! on disk, typed exit codes for hostile input, and that the documents it
+//! writes are the ones the library builds.
 
+use apps::harness::KernelKind;
+use crashcheck::{SweepMode, SweepPlan};
+use easeio_exec::report::sweep_report;
+use easeio_exec::{run_sweep, AppSpec, SweepOptions};
+use easeio_trace::{identity_document, parse_json, Value};
+use mcu_emu::Mcu;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -103,5 +110,94 @@ fn engine_errors_exit_with_the_usage_code_while_streaming() {
         "r.jsonl",
     ];
     assert_eq!(sim(&dir, &args), 2);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The parsed JSON document at `path`.
+fn read_json(path: &Path) -> Value {
+    parse_json(&std::fs::read_to_string(path).unwrap()).unwrap()
+}
+
+#[test]
+fn cli_and_library_build_the_same_sweep_report() {
+    let dir = scratch("sweep-report");
+    let args = [
+        "sweep",
+        "--app",
+        "dma",
+        "--kernel",
+        "naive",
+        "--sample",
+        "50",
+        "--seed",
+        "7",
+        "--report-out",
+        "s.json",
+    ];
+    // Naive violates, so the verdict exits 1 after the report is written.
+    assert_eq!(sim(&dir, &args), 1);
+    // The plan the CLI builds from those flags (dma is deterministic, so
+    // strict memory is on).
+    let plan = SweepPlan {
+        mode: SweepMode::Sample(50),
+        strict_memory: true,
+        ..SweepPlan::with_env_seed(7)
+    };
+    let app = AppSpec::Named("dma".into());
+    let build = |m: &mut Mcu| app.build(KernelKind::Naive, m).unwrap();
+    let (out, timing) = run_sweep(&build, KernelKind::Naive, &plan, &SweepOptions::default());
+    assert!(!out.violations.is_empty());
+    let library = sweep_report(&out, &timing).to_value();
+    assert_eq!(
+        identity_document(&read_json(&dir.join("s.json"))),
+        identity_document(&library)
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn fleet_forensics_repro_replays_the_same_scenario() {
+    // A non-default supply: the repro command must carry it, or it
+    // replays a different experiment.
+    let dir = scratch("fleet-repro");
+    let args = [
+        "fleet",
+        "--devices",
+        "64",
+        "--kernel",
+        "naive",
+        "--supply",
+        "rf",
+        "--distance",
+        "66",
+        "--seed",
+        "3",
+        "--fault-rate",
+        "80",
+        "--allow-duplicates",
+        "--report-out",
+        "fleet.json",
+        "--forensics-out",
+        "bundle.json",
+    ];
+    assert_eq!(sim(&dir, &args), 0);
+    let bundle = read_json(&dir.join("bundle.json"));
+    let command = bundle
+        .get("report")
+        .and_then(|r| r.get("repro"))
+        .and_then(|r| r.get("command"))
+        .and_then(Value::as_str)
+        .unwrap()
+        .to_string();
+    let mut repro: Vec<&str> = command.split_whitespace().collect();
+    assert_eq!(repro.remove(0), "easeio-sim");
+    repro.extend(["--report-out", "repro.json"]);
+    // The repro expects the duplicate, so it exits 0 only if it recurs.
+    assert_eq!(sim(&dir, &repro), 0, "{command}");
+    assert_eq!(
+        identity_document(&read_json(&dir.join("fleet.json"))),
+        identity_document(&read_json(&dir.join("repro.json"))),
+        "{command}"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -75,7 +75,7 @@ impl SweepMode {
 /// Everything a sweep needs beyond (app, kernel): one plain struct shared
 /// by the serial loop, the parallel engine, and the CLI, replacing the old
 /// bool-and-scalar parameter tails.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepPlan {
     /// Boundary-selection mode.
     pub mode: SweepMode,
@@ -182,7 +182,7 @@ impl ViolationKind {
 
 /// One invariant violation, reproducible from the sweep identity plus
 /// `boundary`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// Boundary index the failure was injected at.
     pub boundary: u64,
@@ -193,7 +193,7 @@ pub struct Violation {
 }
 
 /// Result of a whole sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepOutcome {
     /// Runtime display name.
     pub runtime: &'static str,

@@ -171,6 +171,9 @@ pub enum SupplySpec {
     Rf(u64),
 }
 
+/// The CLI's default `--distance`: inches from the RF transmitter.
+pub const DEFAULT_RF_DISTANCE_IN: u64 = 61;
+
 impl SupplySpec {
     /// Parses a CLI `--supply` value (`continuous|timer|rf`; `rf` takes its
     /// distance separately).

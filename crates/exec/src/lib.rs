@@ -19,7 +19,10 @@
 //!   points pruned and materialized from a class representative
 //!   ([`sweep::SweepOptions`]);
 //! * [`grid`] — kernel × supply-point matrices (RF distance and timer
-//!   on-time axes, Fig. 12/13) on the same pool.
+//!   on-time axes, Fig. 12/13) on the same pool;
+//! * [`report`] — every document the CLI writes about these results (run,
+//!   metrics, sweep, forensics, grid, bench, utilization) and the repro
+//!   command that turns a [`ScenarioSpec`] back into flags.
 //!
 //! [`ScenarioSpec`] is the construction surface tying it together: one
 //! parsed value holding a device template (app, kernel, faults), a
@@ -29,10 +32,13 @@
 pub mod config;
 pub mod grid;
 pub mod pool;
+pub mod report;
 pub mod supply;
 pub mod sweep;
 
-pub use config::{AppSpec, DeviceSpec, ScenarioSpec, SupplySpec, APP_NAMES};
+pub use config::{
+    AppSpec, DeviceSpec, ScenarioSpec, SupplySpec, APP_NAMES, DEFAULT_RF_DISTANCE_IN,
+};
 pub use grid::{grid_points, run_grid, GridCell, GridSpec};
 pub use pool::{run_indexed, PoolStats};
 pub use supply::{rf_supply, rf_supply_phased, timer_supply_with_mean_on};

@@ -513,21 +513,6 @@ mod tests {
         )
     }
 
-    fn outcomes_equal(a: &SweepOutcome, b: &SweepOutcome) {
-        assert_eq!(a.runtime, b.runtime);
-        assert_eq!(a.app, b.app);
-        assert_eq!(a.oracle_boundaries, b.oracle_boundaries);
-        assert_eq!(a.injections, b.injections);
-        assert_eq!(a.violations.len(), b.violations.len());
-        for (x, y) in a.violations.iter().zip(&b.violations) {
-            assert_eq!(x.boundary, y.boundary);
-            assert_eq!(x.kind, y.kind);
-            assert_eq!(x.detail, y.detail);
-        }
-        assert_eq!(a.boundary_waste_nj, b.boundary_waste_nj);
-        assert_eq!(a.cause_energy_nj, b.cause_energy_nj);
-    }
-
     #[test]
     fn parallel_matches_serial_with_violations_present() {
         // Naive on the DMA app violates at many boundaries — the violation
@@ -539,7 +524,7 @@ mod tests {
         let serial = sweep(&small_dma, RuntimeKind::Naive, &plan);
         for jobs in [1, 3, 4] {
             let (parallel, timing) = parallel_sweep(&small_dma, RuntimeKind::Naive, &plan, jobs);
-            outcomes_equal(&serial, &parallel);
+            assert_eq!(serial, parallel);
             // The pool clamps the worker count to the available batches.
             assert_eq!(timing.jobs, jobs.min(timing.batches.max(1) as usize));
             assert!(timing.jobs <= jobs);
@@ -560,7 +545,7 @@ mod tests {
         };
         let serial = sweep(&small_dma, RuntimeKind::EaseIo, &plan);
         let (parallel, _) = parallel_sweep(&small_dma, RuntimeKind::EaseIo, &plan, 4);
-        outcomes_equal(&serial, &parallel);
+        assert_eq!(serial, parallel);
         assert!(parallel.is_clean());
     }
 
@@ -586,7 +571,7 @@ mod tests {
                     &plan,
                     &SweepOptions { jobs, prune: true },
                 );
-                outcomes_equal(&serial, &pruned);
+                assert_eq!(serial, pruned);
                 assert!(timing.prune.enabled);
                 assert!(!timing.prune.time_observed, "the DMA app is time-blind");
                 assert!(
@@ -634,7 +619,7 @@ mod tests {
             );
             for (jobs, prune) in [(1, false), (4, false), (4, true), (8, true)] {
                 let (parallel, _) = run_sweep(&build, kind, &plan, &SweepOptions { jobs, prune });
-                outcomes_equal(&serial, &parallel);
+                assert_eq!(serial, parallel);
             }
         }
     }
@@ -659,7 +644,7 @@ mod tests {
                 prune: true,
             },
         );
-        outcomes_equal(&serial, &pruned);
+        assert_eq!(serial, pruned);
         assert!(timing.prune.time_observed);
         assert_eq!(timing.prune.injections_pruned, 0);
     }
@@ -694,8 +679,8 @@ mod tests {
         assert_eq!(results.len(), 2);
         let serial_a = sweep(&small_dma, RuntimeKind::EaseIo, &plan);
         let serial_b = sweep(&chunky_dma, RuntimeKind::Naive, &plan);
-        outcomes_equal(&serial_a, &results[0].0);
-        outcomes_equal(&serial_b, &results[1].0);
+        assert_eq!(serial_a, results[0].0);
+        assert_eq!(serial_b, results[1].0);
     }
 
     /// Observation must never enter outcome identity, and the inject phase
@@ -719,7 +704,7 @@ mod tests {
         let unobserved = sweep_matrix(&entries, &opts);
         let progress = Progress::new();
         let observed = sweep_matrix_observed(&entries, &opts, Some(&progress));
-        outcomes_equal(&unobserved[0].0, &observed[0].0);
+        assert_eq!(unobserved[0].0, observed[0].0);
         let snap = progress.snapshot();
         assert_eq!(snap.phase, "judge");
         assert_eq!(snap.done, entries.len() as u64);

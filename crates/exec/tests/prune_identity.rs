@@ -16,31 +16,11 @@
 
 use apps::harness::RuntimeKind;
 use apps::{dma_app, fir_long};
-use crashcheck::{sweep, SweepOutcome, SweepPlan};
+use crashcheck::{sweep, SweepPlan};
 use easeio_exec::{run_sweep, SweepOptions};
 use kernel::{App, FaultSpec};
 use mcu_emu::Mcu;
 use proptest::prelude::*;
-
-fn assert_identical(serial: &SweepOutcome, engine: &SweepOutcome) {
-    assert_eq!(serial.runtime, engine.runtime);
-    assert_eq!(serial.app, engine.app);
-    assert_eq!(serial.env_seed, engine.env_seed);
-    assert_eq!(serial.oracle_boundaries, engine.oracle_boundaries);
-    assert_eq!(serial.injections, engine.injections);
-    assert_eq!(
-        serial.violations.len(),
-        engine.violations.len(),
-        "violation count"
-    );
-    for (a, b) in serial.violations.iter().zip(&engine.violations) {
-        assert_eq!(a.boundary, b.boundary);
-        assert_eq!(a.kind, b.kind);
-        assert_eq!(a.detail, b.detail);
-    }
-    assert_eq!(serial.boundary_waste_nj, engine.boundary_waste_nj);
-    assert_eq!(serial.cause_energy_nj, engine.cause_energy_nj);
-}
 
 proptest! {
     // Each case runs one serial sweep plus one engine sweep end to end, so
@@ -80,7 +60,7 @@ proptest! {
         };
         let serial = sweep(&build, kind, &plan);
         let (pruned, timing) = run_sweep(&build, kind, &plan, &SweepOptions { jobs, prune: true });
-        assert_identical(&serial, &pruned);
+        assert_eq!(serial, pruned);
         prop_assert_eq!(
             timing.prune.injections_executed + timing.prune.injections_pruned,
             serial.injections
@@ -92,7 +72,7 @@ proptest! {
         // The engine must also reproduce the serial outcome with pruning
         // off — the pure thread-parallel path.
         let (unpruned, _) = run_sweep(&build, kind, &plan, &SweepOptions { jobs, prune: false });
-        assert_identical(&serial, &unpruned);
+        assert_eq!(serial, unpruned);
     }
 }
 
@@ -143,7 +123,7 @@ fn checkpointed_and_cut_sweeps_are_byte_identical_to_unpruned_serial() {
                 for jobs in [1, 4, 8] {
                     let (pruned, timing) =
                         run_sweep(build, kind, &plan, &SweepOptions { jobs, prune: true });
-                    assert_identical(&serial, &pruned);
+                    assert_eq!(serial, pruned);
                     let p = &timing.prune;
                     assert!(
                         p.resumed > 0,

@@ -50,11 +50,11 @@ pub use rollout::{
 };
 pub use telemetry::FleetAgg;
 
+use easeio_exec::report::{repro_command, Replay};
 use easeio_exec::{run_indexed, PoolStats, ScenarioSpec};
 use easeio_trace::fleet::{FleetDeliveryDoc, FleetInputs, FleetMediumDoc, FleetTimingDoc};
 use easeio_trace::stream::{JsonlWriter, ShardedSink, StreamStats};
-use easeio_trace::sweep::FaultSpecDoc;
-use easeio_trace::{Progress, Value};
+use easeio_trace::{ForensicsInputs, ForensicsViolationDoc, Progress, Report, Value};
 use kernel::{run_app, App, ExecConfig, Outcome, Verdict};
 use mcu_emu::{Mcu, McuSnapshot, RunStats, Supply};
 use periph::{Packet, Peripherals};
@@ -85,11 +85,6 @@ impl DeviceResult {
     /// order). Pure in the result, so the merged stream is byte-identical
     /// at any `--jobs` width.
     pub fn record_line(&self) -> String {
-        let outcome = match self.outcome {
-            Outcome::Completed => "completed",
-            Outcome::NonTermination => "non_termination",
-            Outcome::Fault(_) => "fault",
-        };
         let verdict = match &self.verdict {
             Some(Verdict::Correct) => Value::str("correct"),
             Some(Verdict::Incorrect(_)) => Value::str("incorrect"),
@@ -98,7 +93,7 @@ impl DeviceResult {
         Value::Obj(vec![
             ("device".into(), Value::u64(self.device as u64)),
             ("seed".into(), Value::u64(self.seed)),
-            ("outcome".into(), Value::str(outcome)),
+            ("outcome".into(), Value::str(self.outcome.label())),
             ("verdict".into(), verdict),
             ("wall_us".into(), Value::u64(self.wall_us)),
             ("on_us".into(), Value::u64(self.on_us)),
@@ -329,12 +324,7 @@ pub(crate) fn fleet_inputs(
             airtime_base_us: spec.medium.airtime_base_us,
             airtime_us_per_word: spec.medium.airtime_us_per_word,
         },
-        fault_spec: spec.device.fault.plan.map(|p| FaultSpecDoc {
-            seed: p.seed,
-            rate_permille: p.rate_permille as u64,
-            max_retries: spec.device.fault.retry.max_retries as u64,
-            backoff_base_us: spec.device.fault.retry.backoff_base_us,
-        }),
+        fault_spec: spec.device.fault.doc(),
         outcomes: agg.outcomes(),
         power_failures: agg.power_failures(),
         delivery: FleetDeliveryDoc {
@@ -379,6 +369,41 @@ impl FleetOutcome {
             &self.gateway,
             timing_doc(&self.pool, &self.stream),
         )
+    }
+
+    /// The forensics bundle for the fleet's first air duplicate in device
+    /// order, `None` when no identity went on the air twice. Its repro
+    /// command replays the whole scenario and expects the duplicate.
+    pub fn forensics(&self, spec: &ScenarioSpec) -> Option<Report<ForensicsInputs>> {
+        let d = find_air_duplicate(self.packets.iter().map(|(d, p)| (*d, p.as_slice())))?;
+        let g = &self.gateway;
+        Some(Report::new(ForensicsInputs {
+            source: "fleet".into(),
+            runtime: spec.device.kernel.name().into(),
+            app: spec.device.app.label().to_string(),
+            seed: spec.seed,
+            violation: ForensicsViolationDoc {
+                kind: "air_duplicate".into(),
+                detail: format!(
+                    "device {} transmitted identity {} twice \
+                     (packets {} and {}) — Single semantics violated",
+                    d.device, d.seq, d.first_index, d.dup_index
+                ),
+                boundary: None,
+                spend_seq: None,
+                device: Some(d.device as u64),
+                wave: None,
+            },
+            fault_spec: spec.device.fault.doc(),
+            context: vec![
+                ("devices".into(), spec.count as u64),
+                ("transmissions".into(), g.transmissions),
+                ("air_duplicates".into(), g.air_duplicates),
+                ("loss_permille".into(), spec.medium.loss_permille as u64),
+            ],
+            fram_diff: None,
+            repro_command: repro_command(spec, &Replay::Fleet),
+        }))
     }
 }
 

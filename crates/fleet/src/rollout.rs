@@ -38,10 +38,11 @@
 use crate::telemetry::FleetAgg;
 use crate::{reconcile_phase, run_device, DeviceResult, GatewayStats, RecordSink};
 use apps::ota_update::{self, OtaUpdateCfg};
+use easeio_exec::report::{repro_command, Replay};
 use easeio_exec::{run_indexed, PoolStats, ScenarioSpec};
 use easeio_trace::fleet::{FleetInputs, FleetRolloutDoc};
 use easeio_trace::stream::{JsonlWriter, StreamStats};
-use easeio_trace::Progress;
+use easeio_trace::{ForensicsInputs, ForensicsViolationDoc, Progress, Report};
 use kernel::update::{PROBE_DUPLICATE_ACTIVATION, PROBE_VERSION_TORN};
 use kernel::{App, Outcome, Verdict};
 use mcu_emu::{Mcu, McuSnapshot, Supply};
@@ -136,6 +137,56 @@ impl RolloutOutcome {
         );
         inp.rollout = Some(self.stats.clone());
         inp
+    }
+
+    /// The forensics bundle for the first device, in device order, that
+    /// tripped an update-safety probe under `policy`; `None` when every
+    /// device stayed safe. Its repro command replays the whole rollout and
+    /// expects the violation.
+    pub fn forensics(
+        &self,
+        spec: &ScenarioSpec,
+        policy: &RolloutPolicy,
+    ) -> Option<Report<ForensicsInputs>> {
+        let v = self.first_violation?;
+        let s = &self.stats;
+        Some(Report::new(ForensicsInputs {
+            source: "rollout".into(),
+            runtime: spec.device.kernel.name().into(),
+            app: spec.device.app.label().to_string(),
+            seed: spec.seed,
+            violation: ForensicsViolationDoc {
+                kind: v.kind.label().into(),
+                detail: format!(
+                    "device {} tripped the {} probe during wave {}",
+                    v.device,
+                    v.kind.label(),
+                    v.wave + 1
+                ),
+                boundary: None,
+                spend_seq: None,
+                device: Some(v.device as u64),
+                wave: Some(v.wave as u64 + 1),
+            },
+            fault_spec: spec.device.fault.doc(),
+            context: vec![
+                ("devices".into(), spec.count as u64),
+                ("waves".into(), s.waves),
+                ("wave_size".into(), s.wave_size),
+                ("target_seq".into(), s.target_seq),
+                ("version_torn".into(), s.version_torn),
+                ("duplicate_activations".into(), s.duplicate_activations),
+            ],
+            fram_diff: None,
+            repro_command: repro_command(
+                spec,
+                &Replay::Rollout {
+                    wave_size: policy.wave_size as u64,
+                    target_seq: policy.target_seq as u64,
+                    abort_on_regression: policy.abort_on_regression,
+                },
+            ),
+        }))
     }
 }
 
@@ -487,6 +538,41 @@ mod tests {
         assert!(r.first_violation.is_none());
         assert_eq!(r.agg.devices(), 24);
         assert_eq!(r.stream, StreamStats::default(), "no stream, no shards");
+    }
+
+    #[test]
+    fn forensics_bundle_names_the_first_violation_and_replays_the_policy() {
+        let mut spec = rollout_spec(8, KernelKind::Naive);
+        spec.supply = easeio_exec::SupplySpec::Rf(66);
+        let policy = RolloutPolicy {
+            wave_size: 4,
+            abort_on_regression: false,
+            ..RolloutPolicy::default()
+        };
+        let mut r = run_rollout(&spec, &policy, None, None).unwrap();
+        assert!(
+            r.forensics(&spec, &policy).is_none(),
+            "no violation, no bundle"
+        );
+        r.first_violation = Some(RolloutViolation {
+            device: 5,
+            wave: 1,
+            kind: RolloutViolationKind::VersionTorn,
+        });
+        let bundle = r.forensics(&spec, &policy).unwrap();
+        let doc = bundle.to_value();
+        assert_eq!(
+            easeio_trace::validate_any_report(&doc),
+            Ok(easeio_trace::ReportKind::Forensics)
+        );
+        let v = &bundle.body.violation;
+        assert_eq!((v.device, v.wave), (Some(5), Some(2)));
+        assert_eq!(
+            bundle.body.repro_command,
+            "easeio-sim fleet --rollout --devices 8 --kernel naive --seed 42 \
+             --wave-size 4 --target-seq 2 --loss 0 --medium-seed 0 --supply rf \
+             --distance 66 --no-abort --expect-update-violations"
+        );
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! value travels from the CLI through `ScenarioSpec`, `KernelBuilder`, and the
 //! crash sweep down to the executor and peripherals.
 
+use easeio_trace::FaultSpecDoc;
 use mcu_emu::Cost;
 use periph::{FaultPlan, Peripherals};
 
@@ -85,6 +86,16 @@ impl FaultSpec {
             ),
         }
     }
+
+    /// The report's `fault_spec` block, `None` when faults are off.
+    pub fn doc(&self) -> Option<FaultSpecDoc> {
+        self.plan.map(|p| FaultSpecDoc {
+            seed: p.seed,
+            rate_permille: p.rate_permille as u64,
+            max_retries: self.retry.max_retries as u64,
+            backoff_base_us: self.retry.backoff_base_us,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -110,6 +121,17 @@ mod tests {
         let spec = FaultSpec::with_rate(9, 50);
         assert!(spec.plan.is_some());
         assert_eq!(spec.label(), "9:50pm/4r");
+        assert!(FaultSpec::none().doc().is_none());
+        let doc = spec.doc().unwrap();
+        assert_eq!(
+            (
+                doc.seed,
+                doc.rate_permille,
+                doc.max_retries,
+                doc.backoff_base_us
+            ),
+            (9, 50, 4, 40)
+        );
         let mut periph = Peripherals::new(1);
         spec.apply(&mut periph);
         assert_eq!(periph.faults.plan(), spec.plan);

@@ -157,7 +157,8 @@ pub struct SweepInputs {
     pub seed: u64,
     /// Outage length injected at each boundary (µs).
     pub off_us: u64,
-    /// `"exhaustive"` or `"sample"`.
+    /// `"exhaustive"`, `"sample"` or `"boundary"` (a single-boundary
+    /// replay, the form forensics repro commands run).
     pub mode: String,
     /// Energy-spend boundaries counted in the continuous-power oracle run.
     pub oracle_boundaries: u64,
@@ -382,8 +383,8 @@ fn validate_sweep_body(v: &Value) -> Vec<String> {
     need("off_us", &|x| x.as_u64().is_some(), "an unsigned integer");
     need(
         "mode",
-        &|x| matches!(x.as_str(), Some("exhaustive" | "sample")),
-        "'exhaustive' or 'sample'",
+        &|x| matches!(x.as_str(), Some("exhaustive" | "sample" | "boundary")),
+        "'exhaustive', 'sample' or 'boundary'",
     );
     need(
         "oracle_boundaries",
@@ -592,6 +593,21 @@ mod tests {
             rows[0].get("kind").and_then(Value::as_str),
             Some("single_redundant")
         );
+    }
+
+    #[test]
+    fn every_sweep_mode_validates_and_nothing_else_does() {
+        for (mode, valid) in [
+            ("exhaustive", true),
+            ("sample", true),
+            ("boundary", true),
+            ("bogus", false),
+        ] {
+            let mut inp = inputs();
+            inp.mode = mode.into();
+            let result = validate_sweep_report(&build_sweep_report(&inp));
+            assert_eq!(result.is_ok(), valid, "{mode}: {result:?}");
+        }
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! A second group runs the real simulator end-to-end and checks that a fresh
 //! report always satisfies its own schema.
 
+use easeio_exec::report::run_report;
+use easeio_exec::{AppSpec, DeviceSpec, ScenarioSpec, SupplySpec};
 use easeio_repro::apps::harness::{golden, run_traced, RuntimeKind};
 use easeio_repro::apps::temp_app;
 use easeio_repro::easeio_trace::fleet::{
@@ -511,8 +513,8 @@ fn sweep_report_round_trips_with_and_without_faults() {
 
 #[test]
 fn real_run_report_satisfies_the_schema() {
-    // End-to-end: trace a real intermittent run, derive its profile, build
-    // the report exactly as `easeio-sim --report` does, and validate.
+    // End-to-end: trace a real intermittent run and build its report
+    // through the function `easeio-sim --report-out` uses, then validate.
     let build = |m: &mut Mcu| temp_app::build(m, &temp_app::TempAppCfg::default());
     let kind = RuntimeKind::EaseIo;
     let seed = 7;
@@ -524,38 +526,20 @@ fn real_run_report_satisfies_the_schema() {
     );
     assert_eq!(r.outcome, Outcome::Completed);
     assert!(!r.events.is_empty());
-    let (golden_us, golden_nj) = golden(&build, kind, seed);
-    let profile = build_profile(&r.events);
-    assert_eq!(profile.unbalanced, 0);
-    let inputs = ReportInputs {
-        runtime: kind.name().into(),
-        app: "temp".into(),
-        supply: Value::Obj(vec![("kind".into(), Value::str("timer"))]),
+    let spec = ScenarioSpec {
+        device: DeviceSpec {
+            app: AppSpec::Named("temp".into()),
+            kernel: kind,
+            ..DeviceSpec::default()
+        },
+        supply: SupplySpec::Timer,
         seed,
-        outcome: "completed".into(),
-        correct: None,
-        wall_us: r.wall_us,
-        on_us: r.on_us,
-        app_time_us: r.stats.app_time_us,
-        overhead_time_us: r.stats.overhead_time_us,
-        app_energy_nj: r.stats.app_energy_nj,
-        overhead_energy_nj: r.stats.overhead_energy_nj,
-        golden_app_time_us: golden_us,
-        golden_app_energy_nj: golden_nj,
-        power_failures: r.stats.power_failures,
-        task_attempts: r.stats.task_attempts,
-        task_commits: r.stats.task_commits,
-        io_executed: r.stats.io_executed,
-        io_skipped: r.stats.io_skipped,
-        io_reexecutions: r.stats.io_reexecutions,
-        dma_executed: r.stats.dma_executed,
-        dma_skipped: r.stats.dma_skipped,
-        dma_reexecutions: r.stats.dma_reexecutions,
-        memory: None,
-        events_recorded: r.events.len() as u64,
-        events_dropped: r.events_dropped,
+        ..ScenarioSpec::default()
     };
-    let report = build_report(&inputs, &profile);
+    let built = run_report(&spec, "temp", &r, golden(&build, kind, seed));
+    let profile = &built.body.profile;
+    assert_eq!(profile.unbalanced, 0);
+    let report = built.to_value();
     validate_report(&report).expect("fresh report from a real run must validate");
     // Round-trip through text like CI's smoke run does.
     let reparsed = parse_json(&report.to_pretty()).unwrap();

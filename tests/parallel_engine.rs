@@ -8,13 +8,11 @@
 //! CI divergence gate.
 
 use crashcheck::{SweepMode, SweepOutcome, SweepPlan};
+use easeio_exec::report::sweep_report;
 use easeio_exec::{parallel_sweep, run_grid, GridSpec, SweepTiming};
 use easeio_repro::apps::dma_app;
 use easeio_repro::apps::harness::RuntimeKind;
-use easeio_repro::easeio_trace::{
-    build_sweep_report, identity_document, validate_any_report, FaultSpecDoc, ReportKind,
-    SweepInputs, SweepTimingDoc, SweepViolation, SweepWasteDoc, CATEGORY_NAMES,
-};
+use easeio_repro::easeio_trace::{identity_document, validate_any_report, ReportKind};
 use easeio_repro::kernel::{App, FaultSpec};
 use easeio_repro::mcu_emu::Mcu;
 
@@ -31,57 +29,12 @@ fn small_dma(m: &mut Mcu) -> App {
     )
 }
 
-fn report_for(out: &SweepOutcome, plan: &SweepPlan, timing: &SweepTiming) -> String {
-    let inputs = SweepInputs {
-        runtime: out.runtime.into(),
-        app: out.app.into(),
-        seed: plan.seed,
-        off_us: plan.off_us,
-        mode: plan.mode.name().into(),
-        oracle_boundaries: out.oracle_boundaries,
-        strict_memory: plan.strict_memory,
-        injections: out.injections,
-        violations: out
-            .violations
-            .iter()
-            .map(|v| SweepViolation {
-                boundary: v.boundary,
-                kind: v.kind.name().into(),
-                detail: v.detail.clone(),
-            })
-            .collect(),
-        fault_spec: plan.fault.plan.map(|p| FaultSpecDoc {
-            seed: p.seed,
-            rate_permille: p.rate_permille as u64,
-            max_retries: plan.fault.retry.max_retries as u64,
-            backoff_base_us: plan.fault.retry.backoff_base_us,
-        }),
-        // The per-boundary energy-attribution fold is part of report
-        // identity: waste means and cause totals must merge canonically.
-        waste: Some(SweepWasteDoc::from_series(
-            &out.boundary_waste_nj,
-            CATEGORY_NAMES
-                .iter()
-                .zip(out.cause_energy_nj)
-                .map(|(name, nj)| ((*name).to_string(), nj))
-                .collect(),
-        )),
-        timing: Some(SweepTimingDoc {
-            jobs: timing.jobs as u64,
-            wall_us: timing.wall_us,
-            injections_per_sec_milli: timing.injections_per_sec_milli,
-            oracle_us: timing.oracle_us,
-            classify_us: timing.classify_us,
-            inject_us: timing.inject_us,
-            merge_us: timing.merge_us,
-            injections_per_worker: timing.injections_per_worker.clone(),
-            busy_us_per_worker: timing.busy_us_per_worker.clone(),
-            prune: Some(timing.prune.clone()),
-        }),
-    };
-    let doc = build_sweep_report(&inputs);
+fn report_for(out: &SweepOutcome, timing: &SweepTiming) -> String {
+    let doc = sweep_report(out, timing).to_value();
     assert_eq!(validate_any_report(&doc), Ok(ReportKind::Sweep));
     let text = identity_document(&doc).to_pretty();
+    // The per-boundary energy-attribution fold is part of report identity:
+    // waste means and cause totals must merge canonically.
     assert!(
         text.contains("\"waste\""),
         "sweep report must carry the waste fold"
@@ -103,10 +56,10 @@ fn sweep_reports_are_byte_identical_across_jobs() {
         !serial_out.violations.is_empty(),
         "Naive must violate for the order check to bite"
     );
-    let serial_doc = report_for(&serial_out, &plan, &serial_timing);
+    let serial_doc = report_for(&serial_out, &serial_timing);
     for jobs in [4, 8] {
         let (out, timing) = parallel_sweep(&small_dma, RuntimeKind::Naive, &plan, jobs);
-        let doc = report_for(&out, &plan, &timing);
+        let doc = report_for(&out, &timing);
         assert_eq!(
             doc, serial_doc,
             "sweep report diverged between --jobs 1 and --jobs {jobs}"
@@ -125,9 +78,9 @@ fn clean_sweep_reports_are_byte_identical_across_jobs() {
     };
     let (serial_out, serial_timing) = parallel_sweep(&small_dma, RuntimeKind::EaseIo, &plan, 1);
     assert!(serial_out.is_clean());
-    let serial_doc = report_for(&serial_out, &plan, &serial_timing);
+    let serial_doc = report_for(&serial_out, &serial_timing);
     let (out, timing) = parallel_sweep(&small_dma, RuntimeKind::EaseIo, &plan, 8);
-    assert_eq!(report_for(&out, &plan, &timing), serial_doc);
+    assert_eq!(report_for(&out, &timing), serial_doc);
 }
 
 /// Same guarantee with a fault plan installed: boundary × fault-schedule
@@ -142,13 +95,13 @@ fn faulted_sweep_reports_are_byte_identical_across_jobs() {
         ..SweepPlan::with_env_seed(5)
     };
     let (serial_out, serial_timing) = parallel_sweep(&small_dma, RuntimeKind::Naive, &plan, 1);
-    let serial_doc = report_for(&serial_out, &plan, &serial_timing);
+    let serial_doc = report_for(&serial_out, &serial_timing);
     assert!(
         serial_doc.contains("fault_spec"),
         "faulted sweep report must carry its fault spec"
     );
     let (out, timing) = parallel_sweep(&small_dma, RuntimeKind::Naive, &plan, 8);
-    assert_eq!(report_for(&out, &plan, &timing), serial_doc);
+    assert_eq!(report_for(&out, &timing), serial_doc);
 }
 
 /// The experiment grid merges to the same table at any width.
