@@ -85,6 +85,51 @@ fn bench_primitives(c: &mut Criterion) {
     g.finish();
 }
 
+/// Host cost of the LEA kernels, the largest per-call cost of a crash
+/// sweep: `fir-long`'s 512-output × 512-tap chunk filter, which fills
+/// LEA-RAM, and the weather DNN's first 12×12 ⊛ 4×4 convolution.
+fn bench_lea(c: &mut Criterion) {
+    use apps::dnn::{C1, IMG, K};
+    use mcu_emu::{Addr, AllocTag, Memory, Region};
+
+    fn staged(mem: &mut Memory, words: u32) -> Addr {
+        let a = mem.alloc(Region::LeaRam, words * 2, AllocTag::App);
+        let bytes: Vec<u8> = (0..words)
+            .flat_map(|i| (((i * 37) % 251) as i16 - 125).to_le_bytes())
+            .collect();
+        mem.write_bytes(a, &bytes);
+        a
+    }
+
+    let mut g = c.benchmark_group("lea");
+    g.bench_function("fir_512x512", |b| {
+        let mut mem = Memory::new();
+        let x = staged(&mut mem, 512 + 512 - 1);
+        let h = staged(&mut mem, 512);
+        let y = staged(&mut mem, 512);
+        b.iter(|| black_box(periph::lea::fir(&mut mem, x, h, y, 512, black_box(512))))
+    });
+    g.bench_function("conv2d_weather_12x12_k4", |b| {
+        let mut mem = Memory::new();
+        let input = staged(&mut mem, IMG * IMG);
+        let kernel = staged(&mut mem, K * K);
+        let out = staged(&mut mem, C1 * C1);
+        b.iter(|| {
+            black_box(periph::lea::conv2d(
+                &mut mem,
+                input,
+                IMG,
+                IMG,
+                kernel,
+                K,
+                black_box(K),
+                out,
+            ))
+        })
+    });
+    g.finish();
+}
+
 /// The tentpole's "effectively free when off" claim: a run with the default
 /// disabled [`easeio_trace::TraceSink`] must cost within noise (≤1%) of the
 /// pre-recorder simulator, because the fast path is one `Option` check and
@@ -140,5 +185,11 @@ fn bench_recorder(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_simulator, bench_primitives, bench_recorder);
+criterion_group!(
+    benches,
+    bench_simulator,
+    bench_primitives,
+    bench_lea,
+    bench_recorder
+);
 criterion_main!(benches);

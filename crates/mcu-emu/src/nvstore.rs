@@ -76,12 +76,7 @@ pub struct RawVar {
 impl RawVar {
     /// Loads the raw value from memory (no cost accounting; callers charge).
     pub fn load(&self, mem: &Memory) -> u64 {
-        let bytes = mem.read_bytes(self.addr, self.width);
-        let mut raw = 0u64;
-        for (i, b) in bytes.iter().enumerate() {
-            raw |= (*b as u64) << (8 * i);
-        }
-        raw
+        raw_from_le(mem.read_bytes(self.addr, self.width))
     }
 
     /// Stores the raw value to memory (no cost accounting; callers charge).
@@ -94,6 +89,11 @@ impl RawVar {
     pub fn words(&self) -> u64 {
         (self.width as u64).div_ceil(2)
     }
+}
+
+/// Decodes up to 8 little-endian bytes into a raw scalar value.
+fn raw_from_le(bytes: &[u8]) -> u64 {
+    bytes.iter().rev().fold(0, |raw, &b| (raw << 8) | b as u64)
 }
 
 /// A typed handle to a single scalar variable.
@@ -221,17 +221,23 @@ impl<T: Scalar> NvBuf<T> {
         self.slot(i).store(mem, v.to_raw());
     }
 
-    /// Reads the whole buffer (verification only).
+    /// Reads the whole buffer with one memory read (verification only).
     pub fn to_vec(&self, mem: &Memory) -> Vec<T> {
-        (0..self.len).map(|i| self.get(mem, i)).collect()
+        mem.read_bytes(self.base, self.bytes())
+            .chunks_exact(T::WIDTH as usize)
+            .map(|b| T::from_raw(raw_from_le(b)))
+            .collect()
     }
 
-    /// Writes the whole buffer (setup only).
+    /// Writes `data` over the buffer's first elements with one memory write
+    /// (setup only).
     pub fn fill_from(&self, mem: &mut Memory, data: &[T]) {
         assert!(data.len() as u32 <= self.len, "data longer than buffer");
-        for (i, v) in data.iter().enumerate() {
-            self.set(mem, i as u32, *v);
-        }
+        let bytes: Vec<u8> = data
+            .iter()
+            .flat_map(|v| v.to_raw().to_le_bytes().into_iter().take(T::WIDTH as usize))
+            .collect();
+        mem.write_bytes(self.base, &bytes);
     }
 }
 
@@ -283,6 +289,64 @@ mod tests {
         let mut mem = Memory::new();
         let b: NvBuf<i16> = NvBuf::alloc(&mut mem, Region::Fram, 4);
         b.slot(4);
+    }
+
+    /// `fill_from` and `to_vec` against per-element `set` and `get`: same
+    /// bytes, same dirty pages, same values.
+    fn whole_buffer_matches_per_element<T: Scalar>(
+        region: Region,
+        pad: u32,
+        len: u32,
+        data: &[T],
+    ) -> Result<(), proptest::prelude::TestCaseError> {
+        use proptest::prelude::*;
+        let mut mem = Memory::new();
+        mem.alloc(region, pad, AllocTag::App);
+        let b: NvBuf<T> = NvBuf::alloc(&mut mem, region, len);
+        mem.snapshot();
+        let (mut whole, mut each) = (mem.clone(), mem);
+        b.fill_from(&mut whole, data);
+        for (i, v) in data.iter().enumerate() {
+            b.set(&mut each, i as u32, *v);
+        }
+        let all = Addr::new(region, 0);
+        let size = region.size() as u32;
+        prop_assert!(whole.read_bytes(all, size) == each.read_bytes(all, size));
+        prop_assert_eq!(whole.dirty_pages(region), each.dirty_pages(region));
+        let got = b.to_vec(&whole);
+        prop_assert_eq!(
+            &got,
+            &(0..len).map(|i| b.get(&whole, i)).collect::<Vec<_>>()
+        );
+        prop_assert_eq!(&got[..data.len()], data);
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn whole_buffer_access_matches_per_element(
+            (region, pad, len, fill) in (
+                0u8..2,
+                0u32..9000,
+                0u32..300,
+                0u32..=100,
+            ),
+            raw in proptest::collection::vec(proptest::prelude::any::<u64>(), 300),
+        ) {
+            // FRAM buffers cross 4 KB page boundaries; SRAM ones stay small.
+            let (region, pad) = match region {
+                0 => (Region::Fram, pad),
+                _ => (Region::Sram, pad % 1024),
+            };
+            let n = (len * fill / 100) as usize;
+            let as_i16: Vec<i16> = raw[..n].iter().map(|&r| r as i16).collect();
+            let as_u8: Vec<u8> = raw[..n].iter().map(|&r| r as u8).collect();
+            let as_i32: Vec<i32> = raw[..n].iter().map(|&r| r as i32).collect();
+            whole_buffer_matches_per_element(region, pad, len, &as_i16)?;
+            whole_buffer_matches_per_element(region, pad, len, &as_u8)?;
+            whole_buffer_matches_per_element(region, pad, len, &as_i32)?;
+            whole_buffer_matches_per_element(region, pad, len, &raw[..n])?;
+        }
     }
 
     #[test]

@@ -23,16 +23,23 @@ pub fn scene_pixel(seed: u64, width: u32, i: u32) -> i16 {
     (((x * (13 + s % 5) + y * (7 + s % 3) + x * y * (s % 4) + s * 5) % 127) - 63) as i16
 }
 
-/// Captures a `width`×`height` image of i16 pixels into `dst`.
+/// Captures a `width`×`height` image of i16 pixels into `dst` and returns
+/// the wrapping `i32` sum of its pixels, a checksum callers can branch on
+/// like a sensed value.
 ///
-/// Writes memory directly (the camera interface uses its own bus); the
-/// caller charges [`capture_cost`] *before* calling, mirroring the
-/// spend-then-mutate atomicity rule.
-pub fn capture(mem: &mut Memory, dst: Addr, width: u32, height: u32, seed: u64) {
+/// Writes memory directly (the camera interface uses its own bus), with one
+/// write for the whole image; the caller charges [`capture_cost`] *before*
+/// calling, mirroring the spend-then-mutate atomicity rule.
+pub fn capture(mem: &mut Memory, dst: Addr, width: u32, height: u32, seed: u64) -> i32 {
+    let mut sum = 0i32;
+    let mut bytes = Vec::with_capacity((width * height * 2) as usize);
     for i in 0..width * height {
         let px = scene_pixel(seed, width, i);
-        mem.write_bytes(dst.add(i * 2), &px.to_le_bytes());
+        sum = sum.wrapping_add(px as i32);
+        bytes.extend_from_slice(&px.to_le_bytes());
     }
+    mem.write_bytes(dst, &bytes);
+    sum
 }
 
 /// Cost of one capture (delay-loop model, per the paper).
@@ -64,6 +71,34 @@ mod tests {
         capture(&mut m, a, 4, 4, 1);
         capture(&mut m, b, 4, 4, 2);
         assert_ne!(m.read_bytes(a, 32), m.read_bytes(b, 32));
+    }
+
+    proptest::proptest! {
+        /// One whole-image write against per-pixel writes: same bytes and
+        /// dirty pages, and the checksum is the pixel sum.
+        #[test]
+        fn capture_matches_per_pixel_writes(
+            (pad, width, height, seed) in (0u32..8000, 1u32..40, 1u32..40, proptest::prelude::any::<u64>()),
+        ) {
+            use proptest::prelude::*;
+            let mut m = Memory::new();
+            m.alloc(Region::Fram, pad, AllocTag::App);
+            let dst = m.alloc(Region::Fram, width * height * 2, AllocTag::App);
+            m.snapshot();
+            let (mut whole, mut each) = (m.clone(), m);
+            let sum = capture(&mut whole, dst, width, height, seed);
+            let mut expected = 0i32;
+            for i in 0..width * height {
+                let px = scene_pixel(seed, width, i);
+                expected = expected.wrapping_add(px as i32);
+                each.write_bytes(dst.add(i * 2), &px.to_le_bytes());
+            }
+            prop_assert_eq!(sum, expected);
+            let all = Addr::new(Region::Fram, 0);
+            let size = Region::Fram.size() as u32;
+            prop_assert!(whole.read_bytes(all, size) == each.read_bytes(all, size));
+            prop_assert_eq!(whole.dirty_pages(Region::Fram), each.dirty_pages(Region::Fram));
+        }
     }
 
     #[test]
