@@ -90,11 +90,11 @@ pub fn build(mcu: &mut Mcu, cfg: &DmaAppCfg) -> App {
         Ok(Transition::Done)
     };
 
-    let expected = data.clone();
     let expected_checksum = {
         let sample = data[0] as i32 + data[(words - 1) as usize] as i32;
         (0..cfg.iterations).fold(0i32, |acc, _| acc.wrapping_add(sample))
     };
+    let expected = data;
     let iterations = cfg.iterations;
     let verify = move |mcu: &Mcu, _p: &periph::Peripherals| -> Verdict {
         if dst.to_vec(&mcu.mem) != expected {

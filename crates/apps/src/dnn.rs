@@ -40,7 +40,12 @@ fn sat(acc: i32) -> i16 {
     (acc >> ACC_SHIFT).clamp(i16::MIN as i32, i16::MAX as i32) as i16
 }
 
-fn conv2d_ref(input: &[i16], w: u32, kernel: &dyn Fn(u32) -> i16) -> Vec<i16> {
+/// A convolution kernel decoded into a row-major table.
+fn kernel_table(kernel: fn(u32) -> i16) -> [i16; (K * K) as usize] {
+    std::array::from_fn(|i| kernel(i as u32))
+}
+
+fn conv2d_ref(input: &[i16], w: u32, kernel: &[i16]) -> Vec<i16> {
     let ow = w - K + 1;
     let mut out = Vec::with_capacity((ow * ow) as usize);
     for oy in 0..ow {
@@ -49,7 +54,7 @@ fn conv2d_ref(input: &[i16], w: u32, kernel: &dyn Fn(u32) -> i16) -> Vec<i16> {
             for ky in 0..K {
                 for kx in 0..K {
                     let px = input[((oy + ky) * w + (ox + kx)) as usize] as i32;
-                    acc += px * kernel(ky * K + kx) as i32;
+                    acc += px * kernel[(ky * K + kx) as usize] as i32;
                 }
             }
             out.push(sat(acc));
@@ -63,11 +68,11 @@ fn conv2d_ref(input: &[i16], w: u32, kernel: &dyn Fn(u32) -> i16) -> Vec<i16> {
 pub fn reference_inference(image: &[i16]) -> (Vec<i16>, u32) {
     assert_eq!(image.len() as u32, IMG * IMG);
     // Layer 1: conv 12×12 → 9×9.
-    let l1 = conv2d_ref(image, IMG, &kernel1);
+    let l1 = conv2d_ref(image, IMG, &kernel_table(kernel1));
     // Layer 2: ReLU in place.
     let l2: Vec<i16> = l1.iter().map(|v| (*v).max(0)).collect();
     // Layer 3: conv 9×9 → 6×6.
-    let l3 = conv2d_ref(&l2, C1, &kernel2);
+    let l3 = conv2d_ref(&l2, C1, &kernel_table(kernel2));
     // Layer 4: fully connected 36 → 4.
     let mut fc = Vec::with_capacity(CLASSES as usize);
     for j in 0..CLASSES {
@@ -130,7 +135,7 @@ mod tests {
     fn relu_matters_for_this_network() {
         // The first conv must produce at least one negative activation,
         // otherwise the ReLU layer would be dead code in the benchmark.
-        let l1 = conv2d_ref(&scene(7), IMG, &kernel1);
+        let l1 = conv2d_ref(&scene(7), IMG, &kernel_table(kernel1));
         assert!(l1.iter().any(|v| *v < 0), "no negative activations");
         assert!(l1.iter().any(|v| *v > 0), "no positive activations");
     }

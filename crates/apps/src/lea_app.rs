@@ -47,16 +47,22 @@ pub fn coeff(k: u32, taps: u32) -> i16 {
     (((k * 13 + 3) % 23) as i16) - 11 + (256 / taps as i16) / 4
 }
 
-/// Software reference FIR matching the LEA arithmetic exactly.
-pub fn reference_fir(cfg: &LeaAppCfg) -> Vec<i16> {
-    (0..cfg.n_out)
-        .map(|i| {
-            let mut acc: i32 = 0;
-            for k in 0..cfg.taps {
-                acc += coeff(k, cfg.taps) as i32 * sample(i + k) as i32;
-            }
-            (acc >> ACC_SHIFT).clamp(i16::MIN as i32, i16::MAX as i32) as i16
-        })
+/// Software reference of FIR output point `i`, matching the LEA arithmetic
+/// exactly.
+fn reference_point(cfg: &LeaAppCfg, i: u32) -> i16 {
+    let mut acc: i32 = 0;
+    for k in 0..cfg.taps {
+        acc += coeff(k, cfg.taps) as i32 * sample(i + k) as i32;
+    }
+    (acc >> ACC_SHIFT).clamp(i16::MIN as i32, i16::MAX as i32) as i16
+}
+
+/// The digest the filter task persists: every `n_out / DIGEST_POINTS`-th
+/// output point, computed point by point rather than from the whole output.
+fn reference_digest(cfg: &LeaAppCfg) -> Vec<i16> {
+    let stride = cfg.n_out / DIGEST_POINTS;
+    (0..DIGEST_POINTS)
+        .map(|i| reference_point(cfg, i * stride))
         .collect()
 }
 
@@ -108,11 +114,7 @@ pub fn build(mcu: &mut Mcu, cfg: &LeaAppCfg) -> App {
         Ok(Transition::To(TaskId(1)))
     };
 
-    let full = reference_fir(cfg);
-    let stride = cfg.n_out / DIGEST_POINTS;
-    let expected: Vec<i16> = (0..DIGEST_POINTS)
-        .map(|i| full[(i * stride) as usize])
-        .collect();
+    let expected = reference_digest(cfg);
     let verify = move |mcu: &Mcu, _p: &periph::Peripherals| -> Verdict {
         if digest.to_vec(&mcu.mem) == expected {
             Verdict::Correct
@@ -165,6 +167,36 @@ mod tests {
     use kernel::{alpaca::AlpacaRuntime, run_app, ExecConfig, Outcome, Runtime};
     use mcu_emu::{Supply, TimerResetConfig};
     use periph::Peripherals;
+
+    /// Software reference FIR: every output point.
+    fn reference_fir(cfg: &LeaAppCfg) -> Vec<i16> {
+        (0..cfg.n_out).map(|i| reference_point(cfg, i)).collect()
+    }
+
+    fn digest_of_full_output(cfg: &LeaAppCfg) -> Vec<i16> {
+        let full = reference_fir(cfg);
+        let stride = cfg.n_out / DIGEST_POINTS;
+        (0..DIGEST_POINTS)
+            .map(|i| full[(i * stride) as usize])
+            .collect()
+    }
+
+    #[test]
+    fn digest_points_equal_the_sampled_full_reference() {
+        let cfg = LeaAppCfg::default();
+        assert_eq!(reference_digest(&cfg), digest_of_full_output(&cfg));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn digest_points_equal_the_sampled_full_reference_for_any_shape(
+            n_out in DIGEST_POINTS..1024,
+            taps in 1u32..64,
+        ) {
+            let cfg = LeaAppCfg { n_out, taps };
+            proptest::prop_assert_eq!(reference_digest(&cfg), digest_of_full_output(&cfg));
+        }
+    }
 
     #[test]
     fn lea_result_matches_reference_on_continuous_power() {

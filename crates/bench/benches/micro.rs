@@ -1,6 +1,15 @@
 //! Criterion micro-benchmarks: host-side cost of the simulator and of the
 //! EaseIO runtime primitives (these measure the *reproduction's* speed, not
 //! the simulated MCU — the simulated costs are exact by construction).
+//!
+//! `BENCH_micro.json` at the repository root is this bench's output:
+//!
+//! ```sh
+//! cargo bench -p easeio-bench --bench micro -- --json-out "$PWD/BENCH_micro.json"
+//! ```
+//!
+//! The figures are wall-clock on one host (its CPU count is recorded), so
+//! they are kept for comparison and never gated.
 
 use apps::dma_app::{self, DmaAppCfg};
 use apps::harness::{run_once, run_traced, RuntimeKind};
@@ -130,6 +139,78 @@ fn bench_lea(c: &mut Criterion) {
     g.finish();
 }
 
+/// Host cost of a fresh simulated device and of the emulator's hot calls:
+/// `Mcu::new` plus drop (after the first iteration the new machine reuses
+/// the dropped one's zeroed slabs), one `spend` pushed through the supply
+/// in three slices, and a copy-on-write restore after two FRAM pages and
+/// SRAM were written.
+fn bench_mcu(c: &mut Criterion) {
+    use mcu_emu::{Addr, Cost, Region, WorkKind, PAGE_BYTES};
+
+    let mut g = c.benchmark_group("mcu");
+    g.bench_function("new_drop", |b| b.iter(|| Mcu::new(Supply::continuous())));
+    g.bench_function("spend_3_slices", |b| {
+        let mut mcu = Mcu::new(Supply::continuous());
+        b.iter(|| black_box(mcu.spend(WorkKind::App, black_box(Cost::new(2_500, 5_000)))))
+    });
+    g.bench_function("restore_cow_3_pages", |b| {
+        let mut mcu = Mcu::new(Supply::continuous());
+        let snap = mcu.snapshot();
+        b.iter(|| {
+            mcu.mem.write_bytes(Addr::new(Region::Fram, 0), &[1; 64]);
+            mcu.mem
+                .write_bytes(Addr::new(Region::Fram, 40 * PAGE_BYTES), &[2; 64]);
+            mcu.mem.write_bytes(Addr::new(Region::Sram, 0), &[3; 64]);
+            mcu.restore(&snap);
+        })
+    });
+    g.finish();
+}
+
+/// Whole-buffer setup and verification codecs over the dma app's
+/// 6 144-element `i16` buffer.
+fn bench_nvbuf(c: &mut Criterion) {
+    use mcu_emu::{Memory, NvBuf, Region};
+
+    let mut mem = Memory::new();
+    let buf: NvBuf<i16> = NvBuf::alloc(&mut mem, Region::Fram, 6144);
+    let data: Vec<i16> = (0..6144).map(|i| (i * 37 % 251 - 125) as i16).collect();
+    let mut g = c.benchmark_group("nvbuf");
+    g.bench_function("fill_from_6144_i16", |b| {
+        b.iter(|| buf.fill_from(&mut mem, black_box(&data)))
+    });
+    g.bench_function("to_vec_6144_i16", |b| b.iter(|| buf.to_vec(&mem)));
+    g.finish();
+}
+
+/// Building each paper app on a fresh machine, `Mcu::new` included: the
+/// per-run setup cost of the paper's 1000-runs-per-cell evaluation.
+fn bench_apps(c: &mut Criterion) {
+    use apps::fir::{self, FirCfg};
+    use apps::lea_app::{self, LeaAppCfg};
+    use kernel::App;
+
+    fn build(f: impl Fn(&mut Mcu) -> App) -> usize {
+        let mut mcu = Mcu::new(Supply::continuous());
+        f(&mut mcu).tasks.len()
+    }
+
+    let mut g = c.benchmark_group("apps");
+    g.bench_function("build_dma", |b| {
+        b.iter(|| build(|m| dma_app::build(m, &DmaAppCfg::default())))
+    });
+    g.bench_function("build_lea", |b| {
+        b.iter(|| build(|m| lea_app::build(m, &LeaAppCfg::default())))
+    });
+    g.bench_function("build_fir", |b| {
+        b.iter(|| build(|m| fir::build(m, &FirCfg::default())))
+    });
+    g.bench_function("build_weather", |b| {
+        b.iter(|| build(|m| weather::build(m, &WeatherCfg::default())))
+    });
+    g.finish();
+}
+
 /// The tentpole's "effectively free when off" claim: a run with the default
 /// disabled [`easeio_trace::TraceSink`] must cost within noise (≤1%) of the
 /// pre-recorder simulator, because the fast path is one `Option` check and
@@ -189,6 +270,9 @@ criterion_group!(
     benches,
     bench_simulator,
     bench_primitives,
+    bench_mcu,
+    bench_nvbuf,
+    bench_apps,
     bench_lea,
     bench_recorder
 );

@@ -93,6 +93,9 @@ pub struct AllocRecord {
 /// FRAM (256 KB) is 64 pages — exactly one `u64` of dirty bits per region.
 pub const PAGE_BYTES: u32 = 4 * 1024;
 
+/// The three regions, in slab-index order.
+const REGIONS: [Region; 3] = [Region::Fram, Region::Sram, Region::LeaRam];
+
 /// Globally unique snapshot identities, so [`Memory::restore`] can tell
 /// whether its dirty map is relative to the snapshot being restored (cheap
 /// page-wise copy) or to some other baseline (full copy required).
@@ -105,9 +108,8 @@ static SNAPSHOT_IDS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64
 #[derive(Debug, Clone)]
 pub struct MemSnapshot {
     id: u64,
-    fram: Vec<u8>,
-    sram: Vec<u8>,
-    lea_ram: Vec<u8>,
+    /// FRAM, SRAM and LEA-RAM images, indexed like [`REGIONS`].
+    slabs: [Vec<u8>; 3],
     next: [u32; 3],
     allocs: Vec<AllocRecord>,
 }
@@ -156,22 +158,70 @@ fn pages_of(mut bits: u64) -> impl Iterator<Item = u32> {
     })
 }
 
+/// One bit per page that exists in `region`: 64 for FRAM, 1 for SRAM and
+/// LEA-RAM.
+fn region_pages(region: Region) -> u64 {
+    let pages = region.size().div_ceil(PAGE_BYTES as usize) as u32;
+    u64::MAX >> (u64::BITS - pages)
+}
+
+/// The byte arrays of a dropped [`Memory`] plus its `touched` mask, kept
+/// for the next [`Memory::new`] on the same thread.
+struct Slabs {
+    slabs: [Vec<u8>; 3],
+    touched: [u64; 3],
+}
+
+impl Slabs {
+    /// Freshly allocated, all-zero slabs.
+    fn zeroed() -> Self {
+        Self {
+            slabs: REGIONS.map(|r| vec![0; r.size()]),
+            touched: [0; 3],
+        }
+    }
+
+    /// Zeroes every page that may hold a nonzero byte; all others already
+    /// are zero.
+    fn cleared(mut self) -> Self {
+        for (i, region) in REGIONS.into_iter().enumerate() {
+            for page in pages_of(self.touched[i] & region_pages(region)) {
+                self.slabs[i][page_range(page, region.size())].fill(0);
+            }
+        }
+        self.touched = [0; 3];
+        self
+    }
+}
+
+thread_local! {
+    /// At most one spare slab set per thread, so recycling never holds more
+    /// than one memory map's worth of bytes beyond the live machines.
+    static SPARE: std::cell::Cell<Option<Slabs>> = const { std::cell::Cell::new(None) };
+}
+
 /// The simulated memory: three byte arrays plus bump allocators.
 ///
 /// Writes additionally mark 4 KB pages dirty relative to the last snapshot
 /// taken from this instance, which is what makes snapshot restore
 /// copy-on-write: restoring copies back only the pages written since.
+///
+/// Dropping a `Memory` hands its arrays to the thread's spare slot, and the
+/// next [`Memory::new`] on that thread zeroes only the pages the previous
+/// owner touched instead of allocating and clearing 264 KB.
 #[derive(Debug, Clone)]
 pub struct Memory {
-    fram: Vec<u8>,
-    sram: Vec<u8>,
-    lea_ram: Vec<u8>,
+    /// FRAM, SRAM and LEA-RAM bytes, indexed like [`REGIONS`].
+    slabs: [Vec<u8>; 3],
     next: [u32; 3],
     allocs: Vec<AllocRecord>,
     /// Identity of the snapshot the dirty map is relative to, if any.
     base: Option<u64>,
     /// One dirty bit per [`PAGE_BYTES`] page, per region.
     dirty: [u64; 3],
+    /// Pages that may hold a nonzero byte, per region: every page outside
+    /// this mask is all-zero. It only grows, and `dirty` is a subset of it.
+    touched: [u64; 3],
 }
 
 impl Default for Memory {
@@ -180,17 +230,30 @@ impl Default for Memory {
     }
 }
 
+impl Drop for Memory {
+    fn drop(&mut self) {
+        let spare = Slabs {
+            slabs: std::mem::take(&mut self.slabs),
+            touched: self.touched,
+        };
+        // During thread teardown the slot is gone and the slabs are freed.
+        let _ = SPARE.try_with(|slot| slot.set(Some(spare)));
+    }
+}
+
 impl Memory {
-    /// Creates zeroed memory.
+    /// Creates zeroed memory, reusing this thread's spare slabs if a
+    /// dropped `Memory` left some.
     pub fn new() -> Self {
+        let spare = SPARE.try_with(|slot| slot.take()).ok().flatten();
+        let Slabs { slabs, touched } = spare.map_or_else(Slabs::zeroed, Slabs::cleared);
         Self {
-            fram: vec![0; Region::Fram.size()],
-            sram: vec![0; Region::Sram.size()],
-            lea_ram: vec![0; Region::LeaRam.size()],
+            slabs,
             next: [0; 3],
             allocs: Vec::new(),
             base: None,
             dirty: [0; 3],
+            touched,
         }
     }
 
@@ -203,22 +266,15 @@ impl Memory {
     }
 
     fn slab(&self, region: Region) -> &[u8] {
-        match region {
-            Region::Fram => &self.fram,
-            Region::Sram => &self.sram,
-            Region::LeaRam => &self.lea_ram,
-        }
+        &self.slabs[Self::idx(region)]
     }
 
     fn slab_mut(&mut self, region: Region) -> &mut [u8] {
-        match region {
-            Region::Fram => &mut self.fram,
-            Region::Sram => &mut self.sram,
-            Region::LeaRam => &mut self.lea_ram,
-        }
+        &mut self.slabs[Self::idx(region)]
     }
 
-    /// Marks the pages covering `[offset, offset + len)` dirty.
+    /// Marks the pages covering `[offset, offset + len)` dirty (and
+    /// touched).
     ///
     /// The dirty map is one `u64` per region — 64 pages covers exactly the
     /// largest region (256 KB FRAM). A span past the region end would shift
@@ -239,14 +295,14 @@ impl Memory {
         );
         let first = (offset / PAGE_BYTES) as u64;
         let last = (offset as u64 + len as u64 - 1) / PAGE_BYTES as u64;
+        let bits = if last >= u64::BITS as u64 {
+            !0
+        } else {
+            (u64::MAX >> (63 - (last - first))) << first
+        };
         let i = Self::idx(region);
-        if last >= u64::BITS as u64 {
-            self.dirty[i] = !0;
-            return;
-        }
-        for page in first..=last {
-            self.dirty[i] |= 1u64 << page;
-        }
+        self.dirty[i] |= bits;
+        self.touched[i] |= bits;
     }
 
     /// Pages of `region` written since the last snapshot (one bit per
@@ -324,13 +380,24 @@ impl Memory {
         s[off..off + data.len()].copy_from_slice(data);
     }
 
-    /// Copies `len` bytes from `src` to `dst`, possibly across regions.
+    /// Copies `len` bytes from `src` to `dst`, possibly across regions, with
+    /// memmove semantics when the two spans overlap.
     ///
     /// This is the raw memory effect of a DMA transfer: it does *not* pass
     /// through any runtime privatization layer.
     pub fn copy(&mut self, src: Addr, dst: Addr, len: u32) {
-        let data: Vec<u8> = self.read_bytes(src, len).to_vec();
-        self.write_bytes(dst, &data);
+        let (s, d, n) = (src.offset as usize, dst.offset as usize, len as usize);
+        let (i, j) = (Self::idx(src.region), Self::idx(dst.region));
+        if i == j {
+            self.slabs[i].copy_within(s..s + n, d);
+        } else {
+            let [from, to] = self
+                .slabs
+                .get_disjoint_mut([i, j])
+                .expect("distinct regions");
+            to[d..d + n].copy_from_slice(&from[s..s + n]);
+        }
+        self.mark_dirty(dst.region, dst.offset, len);
     }
 
     /// Reads a little-endian scalar of `N` bytes.
@@ -342,10 +409,10 @@ impl Memory {
 
     /// Clears all volatile regions; called on reboot. FRAM persists.
     pub fn power_failure(&mut self) {
-        self.mark_dirty(Region::Sram, 0, Region::Sram.size() as u32);
-        self.mark_dirty(Region::LeaRam, 0, Region::LeaRam.size() as u32);
-        self.sram.fill(0);
-        self.lea_ram.fill(0);
+        for region in [Region::Sram, Region::LeaRam] {
+            self.mark_dirty(region, 0, region.size() as u32);
+            self.slab_mut(region).fill(0);
+        }
     }
 
     /// Captures a full image of the memory map and re-bases the dirty map on
@@ -357,9 +424,7 @@ impl Memory {
         self.dirty = [0; 3];
         MemSnapshot {
             id,
-            fram: self.fram.clone(),
-            sram: self.sram.clone(),
-            lea_ram: self.lea_ram.clone(),
+            slabs: self.slabs.clone(),
             next: self.next,
             allocs: self.allocs.clone(),
         }
@@ -373,20 +438,17 @@ impl Memory {
     /// and re-bases on it.
     pub fn restore(&mut self, snap: &MemSnapshot) {
         if self.base == Some(snap.id) {
-            for (region, src) in [
-                (Region::Fram, &snap.fram),
-                (Region::Sram, &snap.sram),
-                (Region::LeaRam, &snap.lea_ram),
-            ] {
-                for page in pages_of(self.dirty[Self::idx(region)]) {
+            for (i, region) in REGIONS.into_iter().enumerate() {
+                for page in pages_of(self.dirty[i]) {
                     let r = page_range(page, region.size());
-                    self.slab_mut(region)[r.clone()].copy_from_slice(&src[r]);
+                    self.slabs[i][r.clone()].copy_from_slice(&snap.slabs[i][r]);
                 }
             }
         } else {
-            self.fram.copy_from_slice(&snap.fram);
-            self.sram.copy_from_slice(&snap.sram);
-            self.lea_ram.copy_from_slice(&snap.lea_ram);
+            for (slab, src) in self.slabs.iter_mut().zip(&snap.slabs) {
+                slab.copy_from_slice(src);
+            }
+            self.touched = [!0; 3];
             self.base = Some(snap.id);
         }
         self.dirty = [0; 3];
@@ -405,10 +467,9 @@ impl Memory {
             "checkpoint against a foreign base"
         );
         let mut pages: [Vec<std::sync::Arc<[u8]>>; 3] = Default::default();
-        for region in [Region::Fram, Region::Sram, Region::LeaRam] {
-            let i = Self::idx(region);
+        for (i, region) in REGIONS.into_iter().enumerate() {
             for page in pages_of(self.dirty[i]) {
-                let bytes = &self.slab(region)[page_range(page, region.size())];
+                let bytes = &self.slabs[i][page_range(page, region.size())];
                 let shared = prev
                     .and_then(|p| p.page(region, page))
                     .filter(|old| old[..] == *bytes);
@@ -441,20 +502,17 @@ impl Memory {
         if self.base != Some(base.id) {
             self.restore(base);
         }
-        for (region, src) in [
-            (Region::Fram, &base.fram),
-            (Region::Sram, &base.sram),
-            (Region::LeaRam, &base.lea_ram),
-        ] {
-            let i = Self::idx(region);
+        for (i, region) in REGIONS.into_iter().enumerate() {
+            let slab = &mut self.slabs[i];
             for page in pages_of(self.dirty[i] & !ck.mask[i]) {
                 let r = page_range(page, region.size());
-                self.slab_mut(region)[r.clone()].copy_from_slice(&src[r]);
+                slab[r.clone()].copy_from_slice(&base.slabs[i][r]);
             }
             for (page, data) in pages_of(ck.mask[i]).zip(&ck.pages[i]) {
-                self.slab_mut(region)[page_range(page, region.size())].copy_from_slice(data);
+                slab[page_range(page, region.size())].copy_from_slice(data);
             }
             self.dirty[i] = ck.mask[i];
+            self.touched[i] |= ck.mask[i];
         }
         self.next = ck.next;
         self.allocs.clone_from(&ck.allocs);
@@ -471,18 +529,13 @@ impl Memory {
         if self.next != ck.next || self.allocs != *ck.allocs {
             return false;
         }
-        [
-            (Region::Fram, &base.fram),
-            (Region::Sram, &base.sram),
-            (Region::LeaRam, &base.lea_ram),
-        ]
-        .into_iter()
-        .all(|(region, src)| {
-            let i = Self::idx(region);
+        REGIONS.into_iter().enumerate().all(|(i, region)| {
             pages_of(self.dirty[i] | ck.mask[i]).all(|page| {
                 let r = page_range(page, region.size());
-                let expected = ck.page(region, page).map_or(&src[r.clone()], |p| &p[..]);
-                self.slab(region)[r] == *expected
+                let expected = ck
+                    .page(region, page)
+                    .map_or(&base.slabs[i][r.clone()], |p| &p[..]);
+                self.slabs[i][r] == *expected
             })
         })
     }
@@ -682,6 +735,39 @@ mod tests {
         assert_eq!(m.dirty_pages(Region::LeaRam), 1);
         m.restore(&snap);
         assert_eq!(m.read_bytes(Addr::new(Region::Sram, 0), 2), &[0, 0]);
+    }
+
+    /// A `Memory` made after another was dropped on the same thread takes
+    /// over its slabs, zeroed.
+    #[test]
+    fn new_after_drop_reuses_the_zeroed_slabs() {
+        let mut m = Memory::new();
+        let last = Addr::new(Region::Fram, Region::Fram.size() as u32 - 1);
+        m.write_bytes(last, &[7]);
+        let fram = m.read_bytes(Addr::new(Region::Fram, 0), 1).as_ptr();
+        drop(m);
+        let m = Memory::new();
+        assert_eq!(m.read_bytes(Addr::new(Region::Fram, 0), 1).as_ptr(), fram);
+        assert_eq!(m.read_bytes(last, 1), &[0]);
+    }
+
+    /// Memories dropped while their thread's locals are torn down, before
+    /// and after the spare slot itself is gone, are freed without a panic.
+    #[test]
+    fn memory_dropped_during_thread_teardown_is_freed() {
+        thread_local! {
+            static EARLY: std::cell::RefCell<Option<Memory>> = const { std::cell::RefCell::new(None) };
+            static LATE: std::cell::RefCell<Option<Memory>> = const { std::cell::RefCell::new(None) };
+        }
+        std::thread::spawn(|| {
+            // Locals are destroyed in reverse order of first use: `EARLY`
+            // outlives the spare slot, `LATE` does not.
+            EARLY.with(|e| *e.borrow_mut() = Some(Memory::new()));
+            drop(Memory::new());
+            LATE.with(|l| *l.borrow_mut() = Some(Memory::new()));
+        })
+        .join()
+        .expect("thread teardown must not panic");
     }
 
     #[test]

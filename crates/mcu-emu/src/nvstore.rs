@@ -23,11 +23,13 @@ macro_rules! impl_scalar {
     ($($t:ty => $w:expr),* $(,)?) => {$(
         impl Scalar for $t {
             const WIDTH: u32 = $w;
+            #[inline]
             fn to_raw(self) -> u64 {
                 // Sign bits beyond WIDTH are masked off so the raw form is
                 // exactly what the little-endian memory bytes would hold.
                 (self as u64) & (u64::MAX >> (64 - 8 * $w))
             }
+            #[inline]
             fn from_raw(raw: u64) -> Self {
                 raw as $t
             }
@@ -92,8 +94,11 @@ impl RawVar {
 }
 
 /// Decodes up to 8 little-endian bytes into a raw scalar value.
+#[inline]
 fn raw_from_le(bytes: &[u8]) -> u64 {
-    bytes.iter().rev().fold(0, |raw, &b| (raw << 8) | b as u64)
+    let mut le = [0u8; 8];
+    le[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(le)
 }
 
 /// A typed handle to a single scalar variable.
@@ -223,20 +228,28 @@ impl<T: Scalar> NvBuf<T> {
 
     /// Reads the whole buffer with one memory read (verification only).
     pub fn to_vec(&self, mem: &Memory) -> Vec<T> {
-        mem.read_bytes(self.base, self.bytes())
-            .chunks_exact(T::WIDTH as usize)
-            .map(|b| T::from_raw(raw_from_le(b)))
-            .collect()
+        let w = T::WIDTH as usize;
+        let mut out = vec![T::from_raw(0); self.len as usize];
+        // A local loop over constant-width chunks: the decode is a
+        // fixed-size load the compiler can vectorise, not a `memcpy` call.
+        for (v, b) in out
+            .iter_mut()
+            .zip(mem.read_bytes(self.base, self.bytes()).chunks_exact(w))
+        {
+            *v = T::from_raw(raw_from_le(&b[..w]));
+        }
+        out
     }
 
     /// Writes `data` over the buffer's first elements with one memory write
     /// (setup only).
     pub fn fill_from(&self, mem: &mut Memory, data: &[T]) {
         assert!(data.len() as u32 <= self.len, "data longer than buffer");
-        let bytes: Vec<u8> = data
-            .iter()
-            .flat_map(|v| v.to_raw().to_le_bytes().into_iter().take(T::WIDTH as usize))
-            .collect();
+        let w = T::WIDTH as usize;
+        let mut bytes = vec![0u8; data.len() * w];
+        for (out, v) in bytes.chunks_exact_mut(w).zip(data) {
+            out.copy_from_slice(&v.to_raw().to_le_bytes()[..w]);
+        }
         mem.write_bytes(self.base, &bytes);
     }
 }
@@ -346,6 +359,19 @@ mod tests {
             whole_buffer_matches_per_element(region, pad, len, &as_u8)?;
             whole_buffer_matches_per_element(region, pad, len, &as_i32)?;
             whole_buffer_matches_per_element(region, pad, len, &raw[..n])?;
+        }
+    }
+
+    proptest::proptest! {
+        /// The `from_le_bytes` decode equals the per-byte fold it replaced.
+        #[test]
+        fn raw_from_le_matches_per_byte_fold(
+            raw in proptest::prelude::any::<u64>(),
+            width in 0usize..4,
+        ) {
+            let bytes = &raw.to_le_bytes()[..1 << width];
+            let fold = bytes.iter().rev().fold(0, |acc, &b| (acc << 8) | b as u64);
+            proptest::prop_assert_eq!(raw_from_le(bytes), fold);
         }
     }
 
