@@ -211,6 +211,64 @@ fn bench_apps(c: &mut Criterion) {
     g.finish();
 }
 
+/// The two halves of a fleet run's host cost, with perfbench
+/// `fleet-radio`'s settings (timer supply, 50‰ uplink loss, 50‰ peripheral
+/// faults with 8 retries, seed 7): one `flaky-radio` device restored from
+/// its template and run under EaseIO (device ids cycle, so the mean is
+/// over many fault schedules), and the gateway's reconcile of 8k devices ×
+/// 8 packets whose air windows all overlap in one chain, as in that fleet.
+fn bench_fleet(c: &mut Criterion) {
+    use easeio_exec::{AppSpec, DeviceSpec, ScenarioSpec, SupplySpec};
+    use kernel::{FaultSpec, KernelKind};
+    use periph::{MediumSpec, Packet};
+
+    let mut fault = FaultSpec::with_rate(7, 50);
+    fault.retry.max_retries = 8;
+    let spec = ScenarioSpec {
+        device: DeviceSpec {
+            app: AppSpec::Named("flaky-radio".into()),
+            kernel: KernelKind::EaseIo,
+            fault,
+        },
+        count: 50_000,
+        supply: SupplySpec::Timer,
+        medium: MediumSpec::lossy(7, 50),
+        seed: 7,
+        ..ScenarioSpec::default()
+    };
+    let mut mcu = Mcu::new(Supply::continuous());
+    let app = spec.build_app(&mut mcu).expect("flaky-radio builds");
+    let snap = mcu.snapshot();
+    let logs: Vec<(u32, Vec<Packet>)> = (0..8_000u32)
+        .map(|d| {
+            let packets = (0..8u64)
+                .map(|k| Packet {
+                    time_us: 2_000 * k + (d as u64 * 7_919) % 4_000,
+                    payload: vec![k as i32, d as i32],
+                })
+                .collect();
+            (d, packets)
+        })
+        .collect();
+
+    let mut g = c.benchmark_group("fleet");
+    let mut device = 0;
+    g.bench_function("flaky_radio_device", |b| {
+        b.iter(|| {
+            device = (device + 1) % spec.count;
+            let r = easeio_fleet::run_device(&spec, &mut mcu, &app, &snap, device);
+            black_box(r.packets.len())
+        })
+    });
+    g.bench_function("reconcile_logs_8k", |b| {
+        b.iter(|| {
+            let pairs = logs.iter().map(|(d, p)| (*d, p.as_slice()));
+            black_box(easeio_fleet::reconcile_logs(pairs, &spec.medium))
+        })
+    });
+    g.finish();
+}
+
 /// The tentpole's "effectively free when off" claim: a run with the default
 /// disabled [`easeio_trace::TraceSink`] must cost within noise (≤1%) of the
 /// pre-recorder simulator, because the fast path is one `Option` check and
@@ -274,6 +332,7 @@ criterion_group!(
     bench_nvbuf,
     bench_apps,
     bench_lea,
+    bench_fleet,
     bench_recorder
 );
 criterion_main!(benches);

@@ -13,9 +13,9 @@
 //! * a `Timely` block whose window has expired becomes *violated* and its
 //!   done-flag is cleared so the whole block repeats.
 
+use easeio_trace::hash::HashMap;
 use kernel::{ReexecSemantics, TaskId};
 use mcu_emu::{AllocTag, EnergyCause, Mcu, PowerFailure, RawVar, Region, WorkKind};
-use std::collections::HashMap;
 
 /// State a block contributes to the precedence decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

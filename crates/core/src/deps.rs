@@ -8,7 +8,7 @@
 //! the equivalent: the set of call sites that physically executed during the
 //! current attempt.
 
-use std::collections::HashSet;
+use easeio_trace::hash::HashSet;
 
 /// Execution record of the current attempt.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

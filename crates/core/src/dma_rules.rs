@@ -16,10 +16,10 @@
 //! programmer configures (the paper uses 4 KB); exhausting it is a hard
 //! error, mirroring the buffer-limit discussion in the paper's §6.
 
+use easeio_trace::hash::HashMap;
 use kernel::{DmaAnnotation, DmaError, Fault, TaskId};
 use mcu_emu::{Addr, AllocTag, EnergyCause, Mcu, RawVar, Region, WorkKind};
 use periph::dma::{classify, DmaClass};
-use std::collections::{HashMap, HashSet};
 
 /// Re-execution policy resolved for one transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,11 +96,11 @@ impl DmaTable {
     /// Creates a table with an explicit buffer-assignment mode.
     pub fn with_mode(pool_limit: u32, mode: BufferMode) -> Self {
         Self {
-            slots: HashMap::new(),
+            slots: HashMap::default(),
             pool_limit,
             pool_used: 0,
             mode,
-            shared: HashMap::new(),
+            shared: HashMap::default(),
             dirty: Vec::new(),
         }
     }
@@ -253,11 +253,12 @@ impl DmaTable {
     /// `clear_task` resets each site's flags exactly once — and the crash
     /// sweep's pricing probe compares the two.
     pub fn distinct_dirty_for(&self, task: TaskId) -> u64 {
-        self.dirty
-            .iter()
-            .filter(|(t, _)| *t == task)
-            .collect::<HashSet<_>>()
-            .len() as u64
+        // The list holds one entry per site of the active tasks: counting
+        // first occurrences in place beats building a set on every commit.
+        let d = &self.dirty;
+        (0..d.len())
+            .filter(|&i| d[i].0 == task && !d[..i].contains(&d[i]))
+            .count() as u64
     }
 
     /// Clears `task`'s DMA flags at commit (caller priced it).

@@ -10,9 +10,9 @@
 //! generated code, so the overhead bars of the paper's figures emerge from
 //! the same flag traffic the real system pays.
 
+use easeio_trace::hash::{HashMap, HashSet};
 use kernel::TaskId;
 use mcu_emu::{AllocTag, Cost, EnergyCause, Mcu, PowerFailure, RawVar, Region, WorkKind};
-use std::collections::{HashMap, HashSet};
 
 /// The FRAM control block of one `_call_IO` site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -263,11 +263,12 @@ impl IoSlotTable {
     /// this (each lock clears in exactly one flag write); the crash sweep's
     /// pricing probe compares the two.
     pub fn distinct_dirty_for(&self, task: TaskId) -> u64 {
-        self.dirty
-            .iter()
-            .filter(|(t, _)| *t == task)
-            .collect::<HashSet<_>>()
-            .len() as u64
+        // The list holds one entry per site of the active tasks: counting
+        // first occurrences in place beats building a set on every commit.
+        let d = &self.dirty;
+        (0..d.len())
+            .filter(|&i| d[i].0 == task && !d[..i].contains(&d[i]))
+            .count() as u64
     }
 
     /// Total slots allocated (footprint reporting).
@@ -370,6 +371,30 @@ mod tests {
         assert_eq!(with_timely, single_only + 5 + 8);
         let s2 = t.ensure(&mut m, task, 1);
         assert_eq!(t.last_timestamp(&mut m, s2).unwrap(), 9);
+    }
+
+    #[test]
+    fn duplicated_dirty_entry_splits_priced_from_distinct_count() {
+        // The commit-pricing probe compares these two counts; on the
+        // normal path they agree, and a duplicate entry must split them.
+        let mut m = mcu();
+        let mut t = IoSlotTable::new();
+        let task = TaskId(0);
+        for site in 0..3 {
+            let slot = t.ensure(&mut m, task, site);
+            t.record_completion(&mut m, task, site, slot, 1, true, None)
+                .unwrap();
+        }
+        let other = t.ensure(&mut m, TaskId(1), 1);
+        t.record_completion(&mut m, TaskId(1), 1, other, 1, true, None)
+            .unwrap();
+        assert_eq!(t.dirty_for(task), 3);
+        assert_eq!(t.dirty_for(task), t.distinct_dirty_for(task));
+        // The duplicate `record_completion_prepaid` refuses to push.
+        t.dirty.push((task, 1));
+        assert_eq!(t.dirty_for(task), 4);
+        assert_eq!(t.distinct_dirty_for(task), 3);
+        assert_eq!(t.distinct_dirty_for(TaskId(1)), 1);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! CPU mutates variables inside a region (DMA is a region *boundary*), and
 //! each variable's snapshot flag is persisted before the access proceeds.
 
+use easeio_trace::hash::{HashMap, HashSet};
 use kernel::TaskId;
 use mcu_emu::{AllocTag, EnergyCause, Mcu, PowerFailure, RawVar, Region, WorkKind};
-use std::collections::{HashMap, HashSet};
 
 /// Regional privatization state.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

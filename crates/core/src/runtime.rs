@@ -22,13 +22,13 @@ use crate::deps::DepTracker;
 use crate::dma_rules::DmaTable;
 use crate::flags::IoSlotTable;
 use crate::regional::Regional;
+use easeio_trace::hash::HashSet;
 use kernel::io::perform_io;
 use kernel::{
     DmaAnnotation, DmaOutcome, Fault, IoFailure, IoOp, IoOutcome, ReexecSemantics, Runtime, TaskId,
 };
 use mcu_emu::{Addr, Cost, EnergyCause, Mcu, PowerFailure, RawVar, WorkKind};
 use periph::Peripherals;
-use std::collections::HashSet;
 
 /// EaseIO configuration.
 #[derive(Debug, Clone)]
@@ -105,7 +105,7 @@ impl EaseIoRuntime {
             current_region: 0,
             persistent_timekeeper: cfg.persistent_timekeeper,
             diverged: false,
-            written_this_attempt: HashSet::new(),
+            written_this_attempt: HashSet::default(),
             dma_written: Vec::new(),
             tainted_dma: Vec::new(),
         }

@@ -39,13 +39,14 @@ use apps::harness::{MakeRuntime, RuntimeKind};
 use kernel::{
     finish, resume, run_app, App, ExecConfig, ExecState, FaultSpec, Flow, Outcome, Runtime, Verdict,
 };
+use mcu_emu::hash::HashMap;
 use mcu_emu::{
     AllocTag, Mcu, McuCheckpoint, McuSnapshot, Region, RunStats, SpendBoundary, Supply, CAUSE_COUNT,
 };
 use periph::Peripherals;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// How boundaries are chosen from `0..oracle_boundaries`.
@@ -726,7 +727,7 @@ pub fn classify_boundaries(chosen: &[u64], trace: &BoundaryTrace) -> PruneClasse
             time_observed: true,
         };
     }
-    let mut by_key: HashMap<Option<u64>, usize> = HashMap::new();
+    let mut by_key: HashMap<Option<u64>, usize> = HashMap::default();
     for &b in chosen {
         let key = trace.slices.get(b as usize).map(|s| s.spend_seq);
         let id = *by_key.entry(key).or_insert_with(|| {

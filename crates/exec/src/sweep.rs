@@ -55,10 +55,10 @@ use crashcheck::{
     reference_run, run_from, run_injected, select_boundaries, InjectionPath, PruneClasses,
     ReferenceRun, RunRecord, SweepOracle, SweepOutcome, SweepPlan, Violation,
 };
+use easeio_trace::hash::HashMap;
 use easeio_trace::Progress;
 use kernel::App;
 use mcu_emu::{Mcu, Supply, CAUSE_COUNT};
-use std::collections::HashMap;
 use std::time::Instant;
 
 use crate::pool::run_indexed;
@@ -269,7 +269,7 @@ pub fn sweep_matrix_observed(
     let (results, _, stats) = run_indexed(
         opts.jobs,
         &items,
-        HashMap::<usize, (Mcu, App)>::new,
+        HashMap::<usize, (Mcu, App)>::default,
         |cache, _, item: &WorkItem| {
             let t0 = Instant::now();
             let entry = &entries[item.entry];

@@ -68,8 +68,9 @@ struct AirEvent {
     device: u32,
     /// Per-device packet index (the loss-draw key).
     index: u32,
-    /// Packet identity: (device, first payload word).
-    identity: (u32, i64),
+    /// Packet sequence: the first payload word, or `index` for an empty
+    /// payload. The identity is `(device, seq)`.
+    seq: i32,
 }
 
 /// Merges every device's radio log over the medium and accounts for each
@@ -83,33 +84,42 @@ pub fn reconcile(results: &[DeviceResult], medium: &MediumSpec) -> GatewayStats 
     )
 }
 
-/// [`reconcile`] over bare `(device, radio log)` pairs — what the streamed
-/// fleet path retains once per-device results stop accumulating. The
-/// radio logs are the one per-device datum the gateway cannot reduce
-/// incrementally: collisions couple packets *across* devices through the
-/// global air-window order.
+/// [`reconcile`] over bare `(device, radio log)` pairs, one pair per
+/// device — what the streamed fleet path retains once per-device results
+/// stop accumulating. The radio logs are the one per-device datum the
+/// gateway cannot reduce incrementally: collisions couple packets *across*
+/// devices through the global air-window order.
 pub fn reconcile_logs<'a>(
     logs: impl IntoIterator<Item = (u32, &'a [Packet])>,
     medium: &MediumSpec,
 ) -> GatewayStats {
+    let mut stats = GatewayStats::default();
     let mut events: Vec<AirEvent> = Vec::new();
+    let mut seqs: Vec<i32> = Vec::new();
     for (device, packets) in logs {
+        seqs.clear();
         for (k, pkt) in packets.iter().enumerate() {
             let (start, end) = medium.window(pkt);
-            let seq = pkt.payload.first().copied().unwrap_or(k as i32) as i64;
+            let seq = pkt.payload.first().copied().unwrap_or(k as i32);
+            seqs.push(seq);
             events.push(AirEvent {
                 start,
                 end,
                 device,
                 index: k as u32,
-                identity: (device, seq),
+                seq,
             });
         }
+        // An identity belongs to one device, so the distinct identities
+        // are the sum of each device's distinct sequences.
+        seqs.sort_unstable();
+        seqs.dedup();
+        stats.unique_sent += seqs.len() as u64;
     }
     // The canonical merge order: window start, then device, then index.
     // Total and input-order-independent, so any shard layout sorts the
-    // same way.
-    events.sort_by_key(|e| (e.start, e.device, e.index));
+    // same way; the key is unique per event, so an unstable sort is exact.
+    events.sort_unstable_by_key(|e| (e.start, e.device, e.index));
 
     // Overlap chains destroy every member (unslotted ALOHA). Windows are
     // half-open, so a transmission starting exactly when another ends is
@@ -131,24 +141,23 @@ pub fn reconcile_logs<'a>(
         i = j;
     }
 
-    let mut sent_by_identity: BTreeMap<(u32, i64), u64> = BTreeMap::new();
-    let mut received_by_identity: BTreeMap<(u32, i64), u64> = BTreeMap::new();
-    let mut stats = GatewayStats::default();
+    // Delivered identities packed as `device << 32 | seq` (bit pattern).
+    let mut received: Vec<u64> = Vec::new();
     for (e, &lost) in events.iter().zip(&collided) {
         stats.transmissions += 1;
-        *sent_by_identity.entry(e.identity).or_insert(0) += 1;
         if lost {
             stats.lost_collision += 1;
         } else if medium.drops(e.device, e.index) {
             stats.lost_channel += 1;
         } else {
             stats.delivered += 1;
-            *received_by_identity.entry(e.identity).or_insert(0) += 1;
+            received.push((e.device as u64) << 32 | e.seq as u32 as u64);
         }
     }
-    stats.unique_sent = sent_by_identity.len() as u64;
+    received.sort_unstable();
+    received.dedup();
     stats.air_duplicates = stats.transmissions - stats.unique_sent;
-    stats.delivered_unique = received_by_identity.len() as u64;
+    stats.delivered_unique = received.len() as u64;
     stats.gateway_duplicates = stats.delivered - stats.delivered_unique;
     stats
 }
@@ -192,12 +201,86 @@ pub fn find_air_duplicate<'a>(
     None
 }
 
+/// The per-identity tree-map accounting the sort-once [`reconcile_logs`]
+/// replaced, kept as the reference its property test compares against.
+#[cfg(test)]
+mod reference {
+    use super::GatewayStats;
+    use periph::{MediumSpec, Packet};
+    use std::collections::BTreeMap;
+
+    pub fn reconcile_logs<'a>(
+        logs: impl IntoIterator<Item = (u32, &'a [Packet])>,
+        medium: &MediumSpec,
+    ) -> GatewayStats {
+        struct Event {
+            start: u64,
+            end: u64,
+            device: u32,
+            index: u32,
+            identity: (u32, i64),
+        }
+        let mut events: Vec<Event> = Vec::new();
+        for (device, packets) in logs {
+            for (k, pkt) in packets.iter().enumerate() {
+                let (start, end) = medium.window(pkt);
+                let seq = pkt.payload.first().copied().unwrap_or(k as i32) as i64;
+                events.push(Event {
+                    start,
+                    end,
+                    device,
+                    index: k as u32,
+                    identity: (device, seq),
+                });
+            }
+        }
+        events.sort_by_key(|e| (e.start, e.device, e.index));
+        let mut collided = vec![false; events.len()];
+        let mut i = 0;
+        while i < events.len() {
+            let mut j = i + 1;
+            let mut chain_end = events[i].end;
+            while j < events.len() && events[j].start < chain_end {
+                chain_end = chain_end.max(events[j].end);
+                j += 1;
+            }
+            if j - i > 1 {
+                for c in collided.iter_mut().take(j).skip(i) {
+                    *c = true;
+                }
+            }
+            i = j;
+        }
+        let mut sent_by_identity: BTreeMap<(u32, i64), u64> = BTreeMap::new();
+        let mut received_by_identity: BTreeMap<(u32, i64), u64> = BTreeMap::new();
+        let mut stats = GatewayStats::default();
+        for (e, &lost) in events.iter().zip(&collided) {
+            stats.transmissions += 1;
+            *sent_by_identity.entry(e.identity).or_insert(0) += 1;
+            if lost {
+                stats.lost_collision += 1;
+            } else if medium.drops(e.device, e.index) {
+                stats.lost_channel += 1;
+            } else {
+                stats.delivered += 1;
+                *received_by_identity.entry(e.identity).or_insert(0) += 1;
+            }
+        }
+        stats.unique_sent = sent_by_identity.len() as u64;
+        stats.air_duplicates = stats.transmissions - stats.unique_sent;
+        stats.delivered_unique = received_by_identity.len() as u64;
+        stats.gateway_duplicates = stats.delivered - stats.delivered_unique;
+        stats
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use kernel::Outcome;
     use mcu_emu::RunStats;
     use periph::Packet;
+    use proptest::prelude::*;
 
     fn device(id: u32, packets: Vec<Packet>) -> DeviceResult {
         DeviceResult {
@@ -346,6 +429,48 @@ mod tests {
         assert!(
             find_air_duplicate(clean.iter().map(|d| (d.device, d.packets.as_slice()))).is_none()
         );
+    }
+
+    /// One device's log: `(time / 4, payload words, first word)` per
+    /// packet. Times on a 4 µs grid over a short span make equal starts
+    /// across devices, abutting half-open windows and long overlap chains
+    /// common; a 0-word payload takes its index as sequence, and first
+    /// words from 0..4 repeat sequences (air duplicates).
+    fn device_log() -> impl Strategy<Value = Vec<Packet>> {
+        proptest::collection::vec((0u64..120, 0usize..4, 0i32..4), 0..10).prop_map(|raw| {
+            raw.into_iter()
+                .map(|(t, words, seq)| Packet {
+                    time_us: 4 * t,
+                    payload: (0..words).map(|w| if w == 0 { seq } else { 99 }).collect(),
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn reconcile_matches_the_tree_map_reference(
+            logs in proptest::collection::vec(device_log(), 1..12),
+            (first_id, id_step, reversed) in (0u32..1000, 1u32..4, any::<bool>()),
+            (seed, loss) in (any::<u64>(), prop_oneof![Just(0u32), Just(300u32), Just(1000u32)]),
+        ) {
+            let mut devices: Vec<(u32, Vec<Packet>)> = logs
+                .into_iter()
+                .enumerate()
+                .map(|(i, p)| (first_id + id_step * i as u32, p))
+                .collect();
+            if reversed {
+                devices.reverse();
+            }
+            let medium = MediumSpec::lossy(seed, loss);
+            let pairs = || devices.iter().map(|(d, p)| (*d, p.as_slice()));
+            prop_assert_eq!(
+                reconcile_logs(pairs(), &medium),
+                reference::reconcile_logs(pairs(), &medium)
+            );
+        }
     }
 
     #[test]

@@ -20,9 +20,9 @@ use crate::error::{Fault, IoFailure};
 use crate::io::{perform_dma, perform_io, IoOp};
 use crate::runtime::{DmaOutcome, IoOutcome, Runtime};
 use crate::semantics::{DmaAnnotation, ReexecSemantics, TaskId};
+use easeio_trace::hash::{HashMap, HashSet};
 use mcu_emu::{Addr, AllocTag, Cost, Mcu, PowerFailure, RawVar, Region, WorkKind};
 use periph::Peripherals;
-use std::collections::{HashMap, HashSet};
 
 /// The Alpaca runtime.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

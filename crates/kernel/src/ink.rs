@@ -15,9 +15,9 @@ use crate::error::{Fault, IoFailure};
 use crate::io::{perform_dma, perform_io, IoOp};
 use crate::runtime::{DmaOutcome, IoOutcome, Runtime};
 use crate::semantics::{DmaAnnotation, ReexecSemantics, TaskId};
+use easeio_trace::hash::HashMap;
 use mcu_emu::{Addr, AllocTag, Cost, Mcu, PowerFailure, RawVar, Region, WorkKind};
 use periph::Peripherals;
-use std::collections::HashMap;
 
 /// The InK runtime.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

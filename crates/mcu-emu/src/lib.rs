@@ -23,6 +23,9 @@ pub mod power;
 pub mod stats;
 
 pub use clock::Clock;
+/// The deterministic host tables, for crates that reach `easeio-trace`
+/// only through this one.
+pub use easeio_trace::hash;
 pub use easeio_trace::TraceSink;
 pub use energy::{Capacitor, Cost, CostTable};
 pub use mcu::{Mcu, McuCheckpoint, McuSnapshot, PowerFailure, SpendBoundary};

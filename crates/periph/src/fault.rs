@@ -14,7 +14,7 @@
 //! attempt on the peripheral, so a skipped/restored operation never
 //! advances the schedule.
 
-use std::collections::HashMap;
+use mcu_emu::hash::HashMap;
 
 /// Peripheral class a fault plan schedules over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

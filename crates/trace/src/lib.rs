@@ -21,7 +21,8 @@
 //! check with the event construction behind a closure, so an untraced run
 //! pays effectively nothing (`crates/bench/benches/micro.rs` measures this).
 //! This crate has no dependencies; it sits below `mcu-emu` in the workspace
-//! graph.
+//! graph, so it also holds the deterministic [`hash`] tables every layer's
+//! host bookkeeping uses.
 
 pub mod agg;
 pub mod chrome;
@@ -29,6 +30,7 @@ pub mod envelope;
 pub mod event;
 pub mod fleet;
 pub mod forensics;
+pub mod hash;
 pub mod json;
 pub mod jsonl;
 pub mod metrics;

@@ -6,7 +6,7 @@
 //! analyzer's view), not anything the MCU stores, so it lives here with the
 //! rest of the observability machinery rather than in the kernel.
 
-use std::collections::{HashMap, HashSet};
+use crate::hash::{HashMap, HashSet};
 
 /// Tracks first completions of I/O and DMA sites per task activation.
 #[derive(Debug, Clone, Default)]
